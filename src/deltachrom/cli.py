@@ -44,6 +44,7 @@ from .graphs import (
     cartesian_product,
     delta_complement,
     from_json,
+    json_edge_list,
     to_dot,
     to_json,
 )
@@ -132,10 +133,10 @@ def cmd_structure(args: argparse.Namespace) -> int:
     print(f"|E(product)|           = {dec.product.edge_count()}")
     print(f"|E(delta of product)|  = {dec.delta_of_product.edge_count()}")
     print(f"|E(product of deltas)| = {dec.product_of_deltas.edge_count()}")
-    print(f"|S|                    = {len(dec.extra_edges)}")
+    print(f"|S|                    = {dec.extra.edge_count()}")
     print(f"equality: {equality_holds(factors)}")
     if args.emit_s:
-        print(json.dumps([list(e) for e in dec.extra_edges], separators=(",", ":")))
+        print(json_edge_list(dec.extra))
     return EXIT_OK
 
 
@@ -234,7 +235,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failed = sum(r.status == "fail" for r in rows)
         skipped = sum(r.status == "skip" for r in rows)
         print(f"-- {passed} passed, {failed} failed, {skipped} skipped")
-    return EXIT_CHECK_FAILED if any(r.status == "fail" for r in rows) else EXIT_OK
+    if any(r.status == "fail" for r in rows):
+        return EXIT_CHECK_FAILED
+    return EXIT_INEXACT if any(r.inexact for r in rows) else EXIT_OK
 
 
 GRAMMAR_HELP = """\

@@ -27,7 +27,7 @@ from typing import Sequence
 from .graphs import Graph, cartesian_product
 
 _ATOM_KINDS = {"path", "cycle", "complete", "empty", "star", "wheel", "windmill"}
-_KINDS = _ATOM_KINDS | {"join", "product", "raw"}
+_KINDS = _ATOM_KINDS | {"join", "product"}
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,10 @@ class FamilySpec:
     kind: str
     params: tuple[int, ...] = ()
     children: tuple["FamilySpec", ...] = ()
-    graph: Graph | None = None  # payload for kind="raw" only
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "raw" and self.graph is None:
-            raise ValueError("raw family term needs a graph payload")
 
 
 def path_spec(n: int) -> FamilySpec:
@@ -125,9 +122,6 @@ def generate(spec: FamilySpec) -> Graph:
     if kind == "product":
         product, _ = cartesian_product([generate(c) for c in spec.children])
         return product
-    if kind == "raw":
-        assert spec.graph is not None
-        return spec.graph
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -160,20 +154,20 @@ def windmill_graph(m: int, n: int) -> Graph:
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
-    total = sum(g.n for g in graphs)
-    edges = []
-    offset = 0
+    """The graphs side by side, each one's ids shifted past the previous."""
+    masks: list[int] = []
     for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
-        offset += g.n
-    return Graph(total, edges)
+        offset = len(masks)
+        masks.extend(m << offset for m in g._adj)
+    return Graph._from_masks(len(masks), masks)
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union of g and h plus all edges between the two parts."""
-    base = disjoint_union([g, h])
-    cross = [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
-    return Graph(base.n, base.edges() + cross)
+    to_h = ((1 << h.n) - 1) << g.n
+    to_g = (1 << g.n) - 1
+    masks = [m | to_h for m in g._adj] + [m << g.n | to_g for m in h._adj]
+    return Graph._from_masks(g.n + h.n, masks)
 
 
 def is_regular(g: Graph) -> int | None:

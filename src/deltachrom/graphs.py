@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 MAX_PRODUCT_VERTICES = 10_000
@@ -245,24 +246,19 @@ def cartesian_product(
         raise SizeLimitError(
             f"product has {index.total} vertices, over the {max_vertices} budget"
         )
-    strides = index.strides
-    n = index.total
-    masks = [0] * n
-    coords = [0] * len(fs)
-    for v in range(n):
+    # spread[c] holds factor i's neighbours of coordinate c at bits w * stride_i
+    axes = [
+        ([sum(1 << w * stride for w in iter_bits(m)) for m in g._adj], stride, g.n)
+        for g, stride in zip(fs, index.strides)
+    ]
+    masks = []
+    for v in range(index.total):
         mv = 0
-        for i, gi in enumerate(fs):
-            st = strides[i]
-            base = v - coords[i] * st
-            for w in iter_bits(gi._adj[coords[i]]):
-                mv |= 1 << (base + w * st)
-        masks[v] = mv
-        for i in range(len(fs) - 1, -1, -1):
-            coords[i] += 1
-            if coords[i] < fs[i].n:
-                break
-            coords[i] = 0
-    return Graph._from_masks(n, masks), index
+        for spread, stride, size in axes:
+            c = v // stride % size
+            mv |= spread[c] << (v - c * stride)
+        masks.append(mv)
+    return Graph._from_masks(index.total, masks), index
 
 
 def is_connected(g: Graph) -> bool:
@@ -280,10 +276,44 @@ def is_connected(g: Graph) -> bool:
     return seen == (1 << g.n) - 1
 
 
+# A row with at least one set bit per this many binary digits is read by
+# scanning its digits at C speed; a sparser row walks its set bits.
+_DENSE_SPACING = 32
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _row_names(row: int, names: Sequence[str], start: int) -> Iterable[str]:
+    """``names[start + i]`` for each set bit i of ``row``, ascending."""
+    width = row.bit_length()
+    if row.bit_count() * _DENSE_SPACING >= width:
+        flags = bin(row)[:1:-1].encode().translate(_BIT_FLAGS)
+        return compress(names[start : start + width], flags)
+    return [names[start + i] for i in iter_bits(row)]
+
+
+def _write_edges(
+    g: Graph, names: Sequence[str], lead: str, mid: str, tail: str, glue: str
+) -> str:
+    """Each edge a < b as ``lead + names[a] + mid + names[b] + tail``,
+    in lexicographic order, joined by ``glue``, built a row at a time."""
+    rows = []
+    for u, mask in enumerate(g._adj):
+        row = mask >> (u + 1)
+        if row:
+            head = lead + names[u] + mid
+            rows.append(head + (tail + glue + head).join(_row_names(row, names, u + 1)) + tail)
+    return glue.join(rows)
+
+
+def json_edge_list(g: Graph) -> str:
+    """The sorted edge list as compact JSON, ``[[a,b],...]`` with a < b."""
+    names = list(map(str, range(g.n)))
+    return "[" + _write_edges(g, names, "[", ",", "]", ",") + "]"
+
+
 def to_json(g: Graph) -> str:
     """Byte-stable JSON: sorted edge list with a < b, compact separators."""
-    payload = {"n": g.n, "edges": [list(e) for e in g.edges()]}
-    return json.dumps(payload, separators=(",", ":"))
+    return f'{{"n":{g.n},"edges":{json_edge_list(g)}}}'
 
 
 def from_json(text: str) -> Graph:
@@ -304,7 +334,8 @@ def to_dot(
             raise ValueError(f"{len(colors)} colors for {g.n} vertices")
         for v in range(g.n):
             lines.append(f"  {v + off} [color={colors[v] + off}];")
-    for a, b in g.edges():
-        lines.append(f"  {a + off} -- {b + off};")
+    edges = _write_edges(g, list(map(str, range(off, g.n + off))), "  ", " -- ", ";", "\n")
+    if edges:
+        lines.append(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -27,19 +27,49 @@ Edge = tuple[int, int]
 class DeltaProductDecomposition:
     """The three graphs of the decomposition plus the extra edge set.
 
-    All live on the same flat vertex ids defined by ``index``. The edge
-    set of ``delta_of_product`` equals that of ``product_of_deltas``
-    union ``extra_edges``; the two sides are in fact disjoint (product-
-    of-deltas edges change exactly one coordinate, extra edges at least
-    two), which callers may check but should treat as derived rather
-    than definitional.
+    All live on the same flat vertex ids defined by ``index``; ``extra``
+    is S as a graph on those ids. The edge set of ``delta_of_product``
+    equals that of ``product_of_deltas`` union S; the two sides are in
+    fact disjoint (product-of-deltas edges change exactly one
+    coordinate, extra edges at least two), which callers may check but
+    should treat as derived rather than definitional.
     """
 
     product: Graph
     index: ProductIndex
     delta_of_product: Graph
     product_of_deltas: Graph
-    extra_edges: tuple[Edge, ...]
+    extra: Graph
+
+    @property
+    def extra_edges(self) -> tuple[Edge, ...]:
+        """S as sorted (a, b) pairs with a < b."""
+        return tuple(self.extra.edges())
+
+
+def _extra_graph(product: Graph, index: ProductIndex) -> Graph:
+    """S on the product's flat ids: each vertex u is joined to every
+    vertex of its degree that lies on none of the axis lines through u.
+
+    The axis line through u along factor i is one "comb" mask, a set bit
+    every ``stride_i`` positions over ``size_i`` positions, shifted to
+    start where u's i-th coordinate is 0.
+    """
+    same: dict[int, int] = {}
+    for v, mask in enumerate(product._adj):
+        d = mask.bit_count()
+        same[d] = same.get(d, 0) | 1 << v
+    axes = [
+        (sum(1 << j * stride for j in range(size)), stride, size)
+        for size, stride in zip(index.sizes, index.strides)
+    ]
+    masks = []
+    for v, mask in enumerate(product._adj):
+        lines = 0
+        for comb, stride, size in axes:
+            lines |= comb << (v - v // stride % size * stride)
+        masks.append(same[mask.bit_count()] & ~lines)
+    return Graph._from_masks(product.n, masks)
 
 
 def extra_edge_set(
@@ -48,34 +78,10 @@ def extra_edge_set(
     """The extra edge set S of the product's delta-complement.
 
     Exactly the pairs {u, v} of product vertices differing in two or
-    more coordinates with equal product degree. Vertices are bucketed by
-    degree first, so work is quadratic only within degree classes.
-    Returned sorted for determinism.
+    more coordinates with equal product degree. Returned sorted for
+    determinism.
     """
-    fs = list(factors)
-    if not fs:
-        raise ValueError("at least one factor required")
-    product, index = cartesian_product(fs, max_vertices)
-    coords = [index.unflat(v) for v in range(product.n)]
-    buckets: dict[int, list[int]] = {}
-    for v in range(product.n):
-        buckets.setdefault(product.degree(v), []).append(v)
-    out: list[Edge] = []
-    for members in buckets.values():
-        for i, u in enumerate(members):
-            cu = coords[u]
-            for v in members[i + 1 :]:
-                cv = coords[v]
-                differing = 0
-                for a, b in zip(cu, cv):
-                    if a != b:
-                        differing += 1
-                        if differing == 2:
-                            break
-                if differing >= 2:
-                    out.append((u, v))
-    out.sort()
-    return out
+    return _extra_graph(*cartesian_product(factors, max_vertices)).edges()
 
 
 def delta_of_product(
@@ -88,13 +94,12 @@ def delta_of_product(
     product, index = cartesian_product(fs, max_vertices)
     deltas = [delta_complement(g) for g in fs]
     product_of_deltas, _ = cartesian_product(deltas, max_vertices)
-    extra = tuple(extra_edge_set(fs, max_vertices))
     return DeltaProductDecomposition(
         product=product,
         index=index,
         delta_of_product=delta_complement(product),
         product_of_deltas=product_of_deltas,
-        extra_edges=extra,
+        extra=_extra_graph(product, index),
     )
 
 

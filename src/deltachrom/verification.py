@@ -19,7 +19,13 @@ from .bounds import (
     ng_bounds_check,
     upper_degree_diff_check,
 )
-from .chromatic import chi_delta, chromatic_number, is_proper, oracle_chromatic
+from .chromatic import (
+    ChromaticResult,
+    chi_delta,
+    chromatic_number,
+    is_proper,
+    oracle_chromatic,
+)
 from .constructions import path_path_coloring, star_path_coloring, star_star_coloring
 from .families import (
     FamilySpec,
@@ -52,6 +58,7 @@ class TheoremReport:
     computed: str
     status: str  # "pass" | "fail" | "skip"
     seconds: float = 0.0
+    inexact: bool = False  # a solve hit its deadline; the row is a skip
 
 
 def _report(check_id, params, expected, computed, ok, t0, skip=False) -> TheoremReport:
@@ -60,6 +67,21 @@ def _report(check_id, params, expected, computed, ok, t0, skip=False) -> Theorem
         check_id, params, str(expected), str(computed), status,
         time.perf_counter() - t0,
     )
+
+
+def _cut_short(check_id, params, expected, t0, *results: ChromaticResult) -> TheoremReport | None:
+    """A skip row for the first solve that hit its deadline, else None.
+
+    A bracket from a solve that was cut short disproves nothing, so the
+    row reports it as ``inexact [lower,upper]`` instead of a verdict.
+    """
+    for res in results:
+        if not res.exact:
+            return TheoremReport(
+                check_id, params, str(expected), f"inexact [{res.lower},{res.upper}]",
+                "skip", time.perf_counter() - t0, inexact=True,
+            )
+    return None
 
 
 # --- seeded corpora ----------------------------------------------------------
@@ -99,57 +121,38 @@ def seeded_graph_tuples(
 # --- individual checks -------------------------------------------------------
 
 
-def check_path_formula(opts: dict) -> list[TheoremReport]:
-    lo, hi = opts.get("n", (5, 14))
+def _formula_rows(check_id, spec_of, graph_of, n_range, not_covered, opts) -> list[TheoremReport]:
+    """The closed form against the solver for each n; a skip where the
+    closed form declines n, with the true solver value still shown."""
+    lo, hi = opts.get("n", n_range)
     timeout = opts.get("timeout", 60.0)
     rows = []
     for n in range(lo, hi + 1):
         t0 = time.perf_counter()
-        fv = formula_chi_delta(path_spec(n))
-        solved = chi_delta(path_graph(n), timeout=timeout).chi
-        if fv is None:
-            rows.append(_report("path-formula", {"n": n}, "formula n/a (n < 5)",
-                                solved, True, t0, skip=True))
-        else:
-            rows.append(_report("path-formula", {"n": n}, fv.value, solved,
-                                solved == fv.value, t0))
+        fv = formula_chi_delta(spec_of(n))
+        res = chi_delta(graph_of(n), timeout=timeout)
+        expected = not_covered if fv is None else fv.value
+        rows.append(
+            _cut_short(check_id, {"n": n}, expected, t0, res)
+            or _report(check_id, {"n": n}, expected, res.chi,
+                       fv is None or res.chi == fv.value, t0, skip=fv is None)
+        )
     return rows
+
+
+def check_path_formula(opts: dict) -> list[TheoremReport]:
+    return _formula_rows("path-formula", path_spec, path_graph, (5, 14),
+                         "formula n/a (n < 5)", opts)
 
 
 def check_cycle_formula(opts: dict) -> list[TheoremReport]:
-    lo, hi = opts.get("n", (3, 14))
-    timeout = opts.get("timeout", 60.0)
-    rows = []
-    for n in range(lo, hi + 1):
-        t0 = time.perf_counter()
-        fv = formula_chi_delta(cycle_spec(n))
-        solved = chi_delta(cycle_graph(n), timeout=timeout).chi
-        if fv is None:
-            rows.append(_report("cycle-formula", {"n": n},
-                                "formula n/a (regular one-class graph)",
-                                solved, True, t0, skip=True))
-        else:
-            rows.append(_report("cycle-formula", {"n": n}, fv.value, solved,
-                                solved == fv.value, t0))
-    return rows
+    return _formula_rows("cycle-formula", cycle_spec, cycle_graph, (3, 14),
+                         "formula n/a (regular one-class graph)", opts)
 
 
 def check_wheel_formula(opts: dict) -> list[TheoremReport]:
-    lo, hi = opts.get("n", (3, 10))
-    timeout = opts.get("timeout", 60.0)
-    rows = []
-    for n in range(lo, hi + 1):
-        t0 = time.perf_counter()
-        fv = formula_chi_delta(wheel_spec(n))
-        solved = chi_delta(wheel_graph(n), timeout=timeout).chi
-        if fv is None:
-            rows.append(_report("wheel-formula", {"n": n},
-                                "formula n/a (W3 is complete)",
-                                solved, True, t0, skip=True))
-        else:
-            rows.append(_report("wheel-formula", {"n": n}, fv.value, solved,
-                                solved == fv.value, t0))
-    return rows
+    return _formula_rows("wheel-formula", wheel_spec, wheel_graph, (3, 10),
+                         "formula n/a (W3 is complete)", opts)
 
 
 def _edge_union_identity(factors: Sequence[Graph]) -> tuple[bool, str]:
@@ -212,9 +215,11 @@ def check_cycle_p3(opts: dict) -> list[TheoremReport]:
         product, _ = cartesian_product([cycle_graph(n), path_graph(3)])
         res = chi_delta(product, timeout=timeout)
         expected = 2 * ceil_div(n, 2)
-        ok = res.exact and res.chi == expected
-        rows.append(_report("cycle-p3", {"n": n}, expected,
-                            f"chi={res.chi} omega={res.clique_lower}", ok, t0))
+        rows.append(
+            _cut_short("cycle-p3", {"n": n}, expected, t0, res)
+            or _report("cycle-p3", {"n": n}, expected,
+                       f"chi={res.chi} omega={res.clique_lower}", res.chi == expected, t0)
+        )
     return rows
 
 
@@ -239,8 +244,10 @@ def check_star_star(opts: dict) -> list[TheoremReport]:
     t0 = time.perf_counter()
     product, _ = cartesian_product([generate(star_spec(3)), generate(star_spec(3))])
     res = chi_delta(product, timeout=timeout)
-    rows.append(_report("star-star", {"solver": "(3,3)"}, 9, res.chi,
-                        res.exact and res.chi == 9, t0))
+    rows.append(
+        _cut_short("star-star", {"solver": "(3,3)"}, 9, t0, res)
+        or _report("star-star", {"solver": "(3,3)"}, 9, res.chi, res.chi == 9, t0)
+    )
     return rows
 
 
@@ -269,12 +276,12 @@ def check_star_path(opts: dict) -> list[TheoremReport]:
         res = chi_delta(product, timeout=timeout)
         fv = formula_chi_delta(product_spec(star_spec(m), path_spec(n)))
         assert fv is not None
-        ok = res.exact and res.chi == fv.value == 2 * m
-        rows.append(_report(
-            "star-path", {"solver": (m, n)},
-            f"constructive {fv.proof_value} (stated form {fv.statement_value})",
-            f"solver {res.chi}", ok, t0,
-        ))
+        expected = f"constructive {fv.proof_value} (stated form {fv.statement_value})"
+        rows.append(
+            _cut_short("star-path", {"solver": (m, n)}, expected, t0, res)
+            or _report("star-path", {"solver": (m, n)}, expected, f"solver {res.chi}",
+                       res.chi == fv.value == 2 * m, t0)
+        )
     return rows
 
 
@@ -327,12 +334,16 @@ def check_ng(opts: dict) -> list[TheoremReport]:
     rows = []
     for i, g in enumerate(seeded_graphs(trials, 4, 9, seed, connected=True)):
         t0 = time.perf_counter()
-        chi = chromatic_number(g, timeout=timeout).chi
-        chi_d = chi_delta(g, timeout=timeout).chi
-        product, total = ng_bounds_check(g, chi, chi_d)
+        params = {"trial": i, "n": g.n}
+        chi = chromatic_number(g, timeout=timeout)
+        chi_d = chi_delta(g, timeout=timeout)
+        cut = _cut_short("ng", params, "product and sum bounds", t0, chi, chi_d)
+        if cut:
+            rows.append(cut)
+            continue
+        product, total = ng_bounds_check(g, chi.chi, chi_d.chi)
         ok = product.holds and total.holds
-        rows.append(_report("ng", {"trial": i, "n": g.n},
-                            "product and sum bounds",
+        rows.append(_report("ng", params, "product and sum bounds",
                             f"{product.detail}; {total.detail}", ok, t0))
     return rows
 
@@ -344,14 +355,18 @@ def check_sabidussi(opts: dict) -> list[TheoremReport]:
     rows = []
     for i, (g, h) in enumerate(seeded_graph_tuples(trials, 2, 2, 6, seed)):
         t0 = time.perf_counter()
+        params = {"trial": i, "sizes": [g.n, h.n]}
         product, _ = cartesian_product([g, h])
-        chi_prod = chromatic_number(product, timeout=timeout).chi
-        expected = max(
-            chromatic_number(g, timeout=timeout).chi,
-            chromatic_number(h, timeout=timeout).chi,
-        )
-        rows.append(_report("sabidussi", {"trial": i, "sizes": [g.n, h.n]},
-                            expected, chi_prod, chi_prod == expected, t0))
+        chi_prod = chromatic_number(product, timeout=timeout)
+        chi_g = chromatic_number(g, timeout=timeout)
+        chi_h = chromatic_number(h, timeout=timeout)
+        cut = _cut_short("sabidussi", params, "max of the factors", t0, chi_prod, chi_g, chi_h)
+        if cut:
+            rows.append(cut)
+            continue
+        expected = max(chi_g.chi, chi_h.chi)
+        rows.append(_report("sabidussi", params, expected, chi_prod.chi,
+                            chi_prod.chi == expected, t0))
     return rows
 
 
@@ -362,10 +377,13 @@ def check_oracle(opts: dict) -> list[TheoremReport]:
     rows = []
     for i, g in enumerate(seeded_graphs(trials, 1, 9, seed)):
         t0 = time.perf_counter()
-        engine = chromatic_number(g, timeout=timeout).chi
+        engine = chromatic_number(g, timeout=timeout)
         brute = oracle_chromatic(g)
-        rows.append(_report("oracle", {"trial": i, "n": g.n}, brute, engine,
-                            engine == brute, t0))
+        rows.append(
+            _cut_short("oracle", {"trial": i, "n": g.n}, brute, t0, engine)
+            or _report("oracle", {"trial": i, "n": g.n}, brute, engine.chi,
+                       engine.chi == brute, t0)
+        )
     return rows
 
 
@@ -388,13 +406,13 @@ def check_degree_diff(opts: dict) -> list[TheoremReport]:
     timeout = opts.get("timeout", 60.0)
     rows = []
     universe = [(spec, generate(spec)) for spec in degree_diff_universe(max_product)]
-    chi_d_cache: dict[str, int] = {}
-    product_cache: dict[frozenset, int] = {}
+    chi_d_cache: dict[str, ChromaticResult] = {}
+    product_cache: dict[frozenset, ChromaticResult] = {}
 
-    def chi_d_of(spec: FamilySpec, g: Graph) -> int:
+    def chi_d_of(spec: FamilySpec, g: Graph) -> ChromaticResult:
         key = format_spec(spec)
         if key not in chi_d_cache:
-            chi_d_cache[key] = chi_delta(g, timeout=timeout).chi
+            chi_d_cache[key] = chi_delta(g, timeout=timeout)
         return chi_d_cache[key]
 
     for spec_g, g in universe:
@@ -408,14 +426,17 @@ def check_degree_diff(opts: dict) -> list[TheoremReport]:
             key = frozenset((format_spec(spec_g), format_spec(spec_h)))
             if key not in product_cache:
                 product, _ = cartesian_product([g, h])
-                product_cache[key] = chi_delta(product, timeout=timeout).chi
+                product_cache[key] = chi_delta(product, timeout=timeout)
             chi_d_prod = product_cache[key]
-            chk = upper_degree_diff_check(g, h, chi_d_of(spec_g, g), chi_d_prod)
-            rows.append(_report(
-                "degree-diff",
-                {"G": format_spec(spec_g), "H": format_spec(spec_h)},
-                f"<= {chk.rhs}", chk.lhs, chk.holds, t0,
-            ))
+            chi_d_g = chi_d_of(spec_g, g)
+            params = {"G": format_spec(spec_g), "H": format_spec(spec_h)}
+            cut = _cut_short("degree-diff", params, "<= n_max(H)*max(chi_delta(G),m(H))",
+                             t0, chi_d_prod, chi_d_g)
+            if cut:
+                rows.append(cut)
+                continue
+            chk = upper_degree_diff_check(g, h, chi_d_g.chi, chi_d_prod.chi)
+            rows.append(_report("degree-diff", params, f"<= {chk.rhs}", chk.lhs, chk.holds, t0))
     return rows
 
 

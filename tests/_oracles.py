@@ -7,6 +7,7 @@ they check. Sizes are tiny; clarity beats speed.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations, permutations, product as iproduct
 
 from deltachrom import Graph
@@ -41,6 +42,56 @@ def naive_product_edges(factors: list[Graph]) -> set[tuple[int, int]]:
             if len(diff) == 1 and factors[diff[0]].has_edge(a[diff[0]], b[diff[0]]):
                 out.add((flat[a], flat[b]))
     return out
+
+
+def naive_disjoint_union_edges(graphs: list[Graph]) -> set[tuple[int, int]]:
+    """Each graph's edges with its ids shifted past the graphs before it."""
+    out = set()
+    offset = 0
+    for g in graphs:
+        out |= {(a + offset, b + offset) for a, b in g.edges()}
+        offset += g.n
+    return out
+
+
+def naive_join_edges(g: Graph, h: Graph) -> set[tuple[int, int]]:
+    """Both graphs side by side plus every pair with one end in each."""
+    cross = {(u, g.n + v) for u in range(g.n) for v in range(h.n)}
+    return naive_disjoint_union_edges([g, h]) | cross
+
+
+def naive_extra_edges(factors: list[Graph]) -> list[tuple[int, int]]:
+    """S by its definition: pairs of coordinate tuples that differ in at
+    least two places and have equal product degree, row-major flattened."""
+    tuples = list(iproduct(*[range(g.n) for g in factors]))
+    degree = {t: sum(len(g.neighbors(c)) for g, c in zip(factors, t)) for t in tuples}
+    out = []
+    for i, a in enumerate(tuples):
+        for j in range(i + 1, len(tuples)):
+            b = tuples[j]
+            differing = sum(x != y for x, y in zip(a, b))
+            if differing >= 2 and degree[a] == degree[b]:
+                out.append((i, j))
+    return out
+
+
+def reference_to_json(g: Graph) -> str:
+    """The JSON writer as one json.dumps over a list of edge lists."""
+    payload = {"n": g.n, "edges": [list(e) for e in g.edges()]}
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def reference_to_dot(g: Graph, colors=None, one_based: bool = False) -> str:
+    """The DOT writer as one formatted line per edge."""
+    off = 1 if one_based else 0
+    lines = ["graph {"]
+    if colors is not None:
+        for v in range(g.n):
+            lines.append(f"  {v + off} [color={colors[v] + off}];")
+    for a, b in g.edges():
+        lines.append(f"  {a + off} -- {b + off};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:

@@ -19,6 +19,18 @@ def graphs(draw, min_n: int = 0, max_n: int = 8):
 
 
 @st.composite
+def wide_graphs(draw, max_n: int = 130):
+    """Graphs with up to ``max_n`` vertices, so adjacency rows are wide
+    and range from sparse to dense."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    if n < 2:
+        return Graph(n)
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    return Graph(n, [(u, v) for u, v in pairs if u != v])
+
+
+@st.composite
 def atom_specs(draw, nonempty: bool = False):
     kind = draw(st.sampled_from(["path", "cycle", "complete", "empty", "star", "wheel"]))
     lo = {"path": 1, "cycle": 3, "complete": 1, "empty": 0, "star": 1, "wheel": 3}[kind]

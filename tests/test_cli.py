@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from deltachrom import extra_edge_set, generate, parse_spec
 from deltachrom.cli import main
 
 
@@ -68,6 +71,14 @@ class TestChiDelta:
         assert code == 0
         assert json.loads(out)["solver"]["chi"] == 1
 
+    def test_verify_all_expired_deadline(self, capsys):
+        # every row whose solve was cut short is a skip, and the exit code
+        # says the run was inexact; no check may raise or report a failure
+        code, out = run(capsys, "verify", "all", "--timeout", "0")
+        assert code == 3
+        assert " 0 failed" in out.splitlines()[-1]
+        assert "computed=inexact [" in out
+
     def test_timeout_exit_code(self, capsys):
         # the clique bound cannot close this instance, so the search
         # phase must run and immediately hit the expired deadline
@@ -89,6 +100,15 @@ class TestStructure:
         assert code == 0
         assert "|S|                    = 0" in out
         assert "equality: True" in out
+
+    @pytest.mark.parametrize("terms", [("K1", "C9"), ("P2", "P2"), ("C5", "C6"),
+                                       ("S1,4", "S1,6"), ("P5", "P6", "P7"), ("P12", "P15")])
+    def test_emit_s_bytes(self, capsys, terms):
+        code, out = run(capsys, "structure", *terms, "--emit-s")
+        assert code == 0
+        s = extra_edge_set([generate(parse_spec(t)) for t in terms])
+        assert f"|S|                    = {len(s)}\n" in out
+        assert out.splitlines()[-1] == json.dumps([list(e) for e in s], separators=(",", ":"))
 
 
 class TestConstruct:

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltachrom import (
     FamilySpec,
@@ -21,8 +22,10 @@ from deltachrom.families import (
     windmill_graph,
 )
 
-from _oracles import brute_isomorphic
-from strategies import family_specs
+from deltachrom import Graph
+
+from _oracles import brute_isomorphic, naive_disjoint_union_edges, naive_join_edges
+from strategies import family_specs, graphs
 
 
 class TestGenerate:
@@ -54,6 +57,8 @@ class TestGenerate:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FamilySpec("tree", (3,))
+        with pytest.raises(ValueError):
+            FamilySpec("raw")
 
     @given(family_specs())
     @settings(max_examples=60)
@@ -90,6 +95,22 @@ class TestJoin:
     def test_disjoint_union_shifts_ids(self):
         g = disjoint_union([path_graph(2), path_graph(3)])
         assert g.edges() == [(0, 1), (2, 3), (3, 4)]
+
+    def test_empty_parts(self):
+        assert disjoint_union([]) == Graph(0)
+        assert join(Graph(0), cycle_graph(4)) == cycle_graph(4)
+        assert join(path_graph(3), Graph(0)) == path_graph(3)
+
+    @given(graphs(), graphs())
+    @settings(max_examples=80)
+    def test_join_matches_naive_edges(self, g, h):
+        assert join(g, h) == Graph(g.n + h.n, naive_join_edges(g, h))
+
+    @given(st.lists(graphs(), max_size=4))
+    @settings(max_examples=80)
+    def test_disjoint_union_matches_naive_edges(self, parts):
+        total = sum(g.n for g in parts)
+        assert disjoint_union(parts) == Graph(total, naive_disjoint_union_edges(parts))
 
 
 class TestIsRegular:

@@ -26,8 +26,14 @@ from deltachrom.families import (
     star_graph,
 )
 
-from _oracles import brute_isomorphic, naive_delta_edges, naive_product_edges
-from strategies import graphs
+from _oracles import (
+    brute_isomorphic,
+    naive_delta_edges,
+    naive_product_edges,
+    reference_to_dot,
+    reference_to_json,
+)
+from strategies import graphs, wide_graphs
 
 
 class TestConstruction:
@@ -260,6 +266,75 @@ class TestSerialization:
     def test_dot_color_length_mismatch(self):
         with pytest.raises(ValueError):
             to_dot(path_graph(3), colors=[0])
+
+
+def assert_writers_match_reference(g, colors=None):
+    assert to_json(g) == reference_to_json(g)
+    for one_based in (False, True):
+        assert to_dot(g, colors, one_based) == reference_to_dot(g, colors, one_based)
+
+
+@st.composite
+def product_deltas(draw, max_vertices=400):
+    """The delta-complement of a two-factor path/cycle/star product."""
+    factors = []
+    room = max_vertices // 3
+    for _ in range(2):
+        kind = draw(st.sampled_from(["path", "cycle", "star"]))
+        if kind == "star":
+            factors.append(star_graph(draw(st.integers(min_value=1, max_value=room - 1))))
+        else:
+            make, lo = (path_graph, 1) if kind == "path" else (cycle_graph, 3)
+            factors.append(make(draw(st.integers(min_value=lo, max_value=room))))
+        room = max_vertices // factors[0].n
+    product, _ = cartesian_product(factors)
+    return delta_complement(product)
+
+
+class TestWritersMatchReference:
+    """The mask writers against one json.dumps / one line per edge."""
+
+    @given(wide_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_rows(self, g, data):
+        colors = data.draw(st.none() | st.lists(
+            st.integers(min_value=0, max_value=6), min_size=g.n, max_size=g.n))
+        assert_writers_match_reference(g, colors)
+
+    @given(st.integers(min_value=0, max_value=70))
+    @settings(max_examples=30, deadline=None)
+    def test_edgeless_and_complete(self, n):
+        assert_writers_match_reference(Graph(n))
+        assert_writers_match_reference(Graph(n), list(range(n)))
+        if n:
+            assert_writers_match_reference(complete_graph(n))
+
+    def test_empty_graph_bytes(self):
+        assert to_json(Graph(0)) == '{"n":0,"edges":[]}'
+        assert to_dot(Graph(0)) == "graph {\n}\n"
+        assert to_dot(Graph(2), [0, 0], one_based=True) == (
+            "graph {\n  1 [color=1];\n  2 [color=1];\n}\n"
+        )
+
+    @given(st.integers(min_value=3, max_value=400))
+    @settings(max_examples=30, deadline=None)
+    def test_sparse_wide_rows(self, n):
+        # row 0 of C_n has bits 1 and n - 1 only
+        assert_writers_match_reference(cycle_graph(n))
+
+    @given(product_deltas())
+    @settings(max_examples=15, deadline=None)
+    def test_product_deltas(self, g):
+        assert_writers_match_reference(g)
+
+    def test_largest_product_delta(self):
+        # 1,600 vertices: the export size the benchmark writes
+        product, _ = cartesian_product([path_graph(40), path_graph(40)])
+        g = delta_complement(product)
+        assert g.edge_count() == 1_050_528
+        assert to_json(g) == reference_to_json(g)
+        assert to_dot(g, one_based=True) == reference_to_dot(g, one_based=True)
+        assert_writers_match_reference(product)
 
 
 class TestConnectivity:

@@ -15,7 +15,7 @@ from deltachrom.families import (
     star_graph,
 )
 
-from _oracles import brute_isomorphic
+from _oracles import brute_isomorphic, naive_extra_edges
 from strategies import graphs
 
 
@@ -50,6 +50,23 @@ class TestExtraEdgeSet:
     def test_sorted_output(self):
         s = extra_edge_set([cycle_graph(3), cycle_graph(3)])
         assert s == sorted(s)
+
+    @given(graphs(min_n=1, max_n=6), graphs(min_n=1, max_n=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_coordinate_pair_definition(self, g, h):
+        assert extra_edge_set([g, h]) == naive_extra_edges([g, h])
+
+    @given(graphs(min_n=1, max_n=4), graphs(min_n=1, max_n=4), graphs(min_n=1, max_n=4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_definition_on_triples(self, a, b, c):
+        expected = naive_extra_edges([a, b, c])
+        assert extra_edge_set([a, b, c]) == expected
+        assert list(delta_of_product([a, b, c]).extra_edges) == expected
+
+    def test_named_products_match_definition(self):
+        for factors in ([path_graph(6), path_graph(7)], [star_graph(3), cycle_graph(5)],
+                        [cycle_graph(4), path_graph(3), path_graph(2)]):
+            assert extra_edge_set(factors) == naive_extra_edges(factors)
 
 
 class TestDecomposition:

@@ -55,6 +55,28 @@ class TestRegistry:
         assert by_n[3].computed == "1"  # the true solver value is still shown
         assert by_n[4].status == "pass"
 
+    @pytest.mark.parametrize("check_id", check_ids())
+    def test_expired_deadline_never_fails(self, check_id):
+        # a timeout of 0 has passed before any solve starts, so this is
+        # deterministic: every solve that is not closed at once is cut short
+        rows = run_check(check_id, {"timeout": 0.0})
+        assert rows
+        assert not [r for r in rows if r.status == "fail"]
+        for r in rows:
+            if r.inexact:
+                assert r.status == "skip"
+                assert r.computed.startswith("inexact [")
+
+    def test_expired_deadline_reports_bracket(self):
+        rows = [r for r in run_check("oracle", {"timeout": 0.0, "trials": 5}) if r.inexact]
+        assert rows
+        for r in rows:
+            lower, upper = map(int, r.computed[len("inexact ["):-1].split(","))
+            assert lower <= int(r.expected) <= upper
+
+    def test_default_timeout_rows_are_exact(self):
+        assert not [r for r in run_check("cycle-p3") if r.inexact]
+
     def test_star_path_rows_include_discrepancy_verdicts(self):
         rows = run_check("star-path", {"m": (3, 3), "n": (3, 4)})
         solver_rows = [r for r in rows if "solver" in r.params]
