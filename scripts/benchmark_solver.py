@@ -2,10 +2,10 @@
 """Time the exact solver on the named product instances.
 
 Reports value, closing method (sandwich vs search) and wall time for
-each, which is handy when tuning the clique budget or the search order.
+each, which is handy when tuning the clique budget or the search.
 
 Usage:
-    python scripts/benchmark_solver.py [--timeout SECONDS] [--dynamic]
+    python scripts/benchmark_solver.py [--timeout SECONDS]
 """
 
 from __future__ import annotations
@@ -39,15 +39,13 @@ INSTANCES = [
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--timeout", type=float, default=60.0)
-    parser.add_argument("--dynamic", action="store_true",
-                        help="use dynamic saturation ordering in the search")
     args = parser.parse_args()
 
     print(f"{'instance':<16} {'n':>4} {'chi_delta':>9} {'clique':>6} {'method':>16} {'ms':>8}")
     for term in INSTANCES:
         g = generate(parse_spec(term))
         t0 = time.perf_counter()
-        result = chi_delta(g, timeout=args.timeout, dynamic_order=args.dynamic)
+        result = chi_delta(g, timeout=args.timeout)
         ms = (time.perf_counter() - t0) * 1000
         value = result.chi if result.exact else f"[{result.lower},{result.upper}]"
         print(

@@ -40,6 +40,7 @@ from .chromatic import (
     chi_delta,
     chromatic_number,
     dsatur_upper,
+    is_clique,
     is_proper,
     max_clique_lower,
     oracle_chromatic,

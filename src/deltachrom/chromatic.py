@@ -3,9 +3,11 @@
 Strategy: a branch-and-bound maximum clique gives the lower bound, a
 DSATUR coloring the upper bound. When they agree the value is certified
 by the sandwich alone; otherwise a k-colorability backtracking search
-(static DSATUR vertex order, forward checking over bitmask color
+(most-constrained vertex first, forward checking over bitmask color
 domains, color symmetry broken by pinning a maximum clique to colors
-0..|clique|-1) decides each k from the lower bound upward.
+0..|clique|-1) decides each k from the lower bound upward. Both
+searches keep their own stack, so no interpreter setting depends on the
+graph size.
 
 Everything is deterministic: ties break toward the lowest vertex id and
 colors are tried in increasing order, so the same graph always yields
@@ -14,9 +16,9 @@ the same witness.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graphs import Graph, delta_complement, iter_bits
 
@@ -52,13 +54,21 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
         raise ValueError(
             f"coloring covers {len(coloring.colors)} vertices, graph has {g.n}"
         )
-    cols = coloring.colors
-    for u in range(g.n):
-        above = g.adjacency_mask(u) >> (u + 1) << (u + 1)
-        for v in iter_bits(above):
-            if cols[u] == cols[v]:
-                return False
-    return True
+    classes = [0] * coloring.palette_size
+    for v, c in enumerate(coloring.colors):
+        classes[c] |= 1 << v
+    adj = g._adj
+    return not any(adj[v] & classes[c] for v, c in enumerate(coloring.colors))
+
+
+def is_clique(g: Graph, vertices: Sequence[int]) -> bool:
+    """True iff the vertices are distinct and pairwise adjacent."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    if mask.bit_count() != len(vertices):
+        return False
+    return all((g.adjacency_mask(v) | 1 << v) & mask == mask for v in vertices)
 
 
 @dataclass(frozen=True)
@@ -81,8 +91,7 @@ def max_clique_lower(
     n = g.n
     if n == 0:
         return CliqueResult(0, (), True)
-    adj = [g.adjacency_mask(v) for v in range(n)]
-    best = {"size": 0, "mask": 0, "nodes": 0}
+    adj = g._adj
 
     def color_sort(cand: int) -> tuple[list[int], list[int]]:
         # greedy coloring of the candidate set; bounds ascend with order
@@ -104,52 +113,59 @@ def max_clique_lower(
             rest &= ~klass
         return order, bounds
 
-    def expand(rmask: int, rsize: int, cand: int) -> None:
-        best["nodes"] += 1
-        if best["nodes"] > budget:
-            raise SolverTimeout
-        if deadline is not None and best["nodes"] % 256 == 1 and time.monotonic() > deadline:
-            raise SolverTimeout
-        order, bounds = color_sort(cand)
-        local = cand
-        for i in range(len(order) - 1, -1, -1):
-            if rsize + bounds[i] <= best["size"]:
-                return
-            v = order[i]
-            vb = 1 << v
-            nxt = local & adj[v]
-            if nxt:
-                expand(rmask | vb, rsize + 1, nxt)
-            elif rsize + 1 > best["size"]:
-                best["size"] = rsize + 1
-                best["mask"] = rmask | vb
-            local &= ~vb
-
+    best_size = best_mask = nodes = 0
+    # one frame per open node: [clique mask, clique size, vertices and
+    # bounds left to branch on (taken from the end), their mask]
+    stack: list[list] = []
+    rmask, rsize, cand = 0, 0, (1 << n) - 1
     complete = True
-    try:
-        expand(0, 0, (1 << n) - 1)
-    except SolverTimeout:
-        complete = False
+    while True:
+        if cand:
+            nodes += 1
+            if nodes > budget or (
+                deadline is not None and nodes % 256 == 1 and time.monotonic() > deadline
+            ):
+                complete = False
+                break
+            order, bounds = color_sort(cand)
+            stack.append([rmask, rsize, order, bounds, cand])
+            cand = 0
+        frame = stack[-1]
+        rmask, rsize, order, bounds, local = frame
+        if not order or rsize + bounds[-1] <= best_size:
+            stack.pop()
+            if not stack:
+                break
+            continue
+        v = order.pop()
+        bounds.pop()
+        vb = 1 << v
+        frame[4] = local & ~vb
+        cand = local & adj[v]
+        if cand:
+            rmask, rsize = rmask | vb, rsize + 1
+        elif rsize + 1 > best_size:
+            best_size, best_mask = rsize + 1, rmask | vb
 
-    verts = tuple(iter_bits(best["mask"]))
-    for i, a in enumerate(verts):
-        for b in verts[i + 1 :]:
-            if not g.has_edge(a, b):
-                raise RuntimeError("internal error: clique verification failed")
-    return CliqueResult(best["size"], verts, complete)
+    verts = tuple(iter_bits(best_mask))
+    if not is_clique(g, verts):
+        raise RuntimeError("internal error: clique verification failed")
+    return CliqueResult(best_size, verts, complete)
 
 
-def _dsatur(g: Graph) -> tuple[list[int], list[int]]:
-    """DSATUR colors and the order vertices were colored in.
+def dsatur_upper(g: Graph) -> Coloring:
+    """Proper DSATUR coloring; deterministic given the graph.
 
     Vertex choice: maximum saturation, then maximum degree, then lowest
-    id, which makes both outputs deterministic.
+    id.
     """
     n = g.n
+    if n == 0:
+        return Coloring((), 0)
+    adj = g._adj
     colors = [-1] * n
     neighbor_colors = [0] * n
-    degrees = [g.degree(v) for v in range(n)]
-    order: list[int] = []
+    degrees = g.degrees()
     for _ in range(n):
         v = max(
             (u for u in range(n) if colors[u] == -1),
@@ -159,112 +175,82 @@ def _dsatur(g: Graph) -> tuple[list[int], list[int]]:
         while neighbor_colors[v] >> c & 1:
             c += 1
         colors[v] = c
-        order.append(v)
-        for w in iter_bits(g.adjacency_mask(v)):
+        for w in iter_bits(adj[v]):
             neighbor_colors[w] |= 1 << c
-    return colors, order
-
-
-def dsatur_upper(g: Graph) -> Coloring:
-    """Proper DSATUR coloring; deterministic given the graph."""
-    if g.n == 0:
-        return Coloring((), 0)
-    colors, _ = _dsatur(g)
     return Coloring(tuple(colors), max(colors) + 1)
 
 
 def _k_coloring_search(
-    g: Graph,
-    k: int,
-    clique: tuple[int, ...],
-    order: list[int],
-    deadline: float,
-    dynamic_order: bool = False,
+    g: Graph, k: int, clique: tuple[int, ...], deadline: float
 ) -> tuple[int, ...] | None:
     """Find a proper k-coloring or prove none exists.
 
-    Forward checking over per-vertex color-domain bitmasks. Only the
-    first unused color may open a new color class, which prunes nothing
-    but palette permutations. ``dynamic_order=True`` switches to
-    most-constrained-first vertex selection (still deterministic).
+    Forward checking over per-vertex color-domain bitmasks, branching on
+    the open vertex with the fewest colors left (ties to the lowest id).
+    Only the first unused color may open a new color class, which prunes
+    nothing but palette permutations.
     """
     n = g.n
     if len(clique) > k:
         return None
-    full = (1 << k) - 1
-    avail = [full] * n
+    adj = g._adj
+    avail = [(1 << k) - 1] * n
     colors = [-1] * n
-    adj = [g.adjacency_mask(v) for v in range(n)]
+    free = (1 << n) - 1
 
-    def assign(v: int, c: int) -> tuple[list[int], bool]:
-        colors[v] = c
+    def assign(v: int, c: int) -> list[int] | None:
+        # remove c from the open neighbours' domains; None on a wipe-out
         bit = 1 << c
         touched: list[int] = []
-        for u in iter_bits(adj[v]):
-            if colors[u] == -1 and avail[u] & bit:
+        for u in iter_bits(adj[v] & free):
+            if avail[u] & bit:
                 avail[u] ^= bit
                 touched.append(u)
                 if not avail[u]:
-                    return touched, False
-        return touched, True
-
-    def undo(v: int, c: int, touched: list[int]) -> None:
-        bit = 1 << c
-        for u in touched:
-            avail[u] |= bit
-        colors[v] = -1
+                    for w in touched:
+                        avail[w] |= bit
+                    return None
+        colors[v] = c
+        return touched
 
     for i, v in enumerate(clique):
-        if not avail[v] >> i & 1:
+        if not avail[v] >> i & 1 or assign(v, i) is None:
             return None
-        _, ok = assign(v, i)
-        if not ok:
-            return None
+        free ^= 1 << v
 
-    rest = [v for v in order if colors[v] == -1]
+    # one frame per colored vertex: (vertex, colors left to try, used
+    # before it, neighbours whose domain it narrowed)
+    stack: list[tuple[int, int, int, list[int]]] = []
+    used = len(clique)
     ticks = 0
-
-    def pick(idx: int) -> int:
-        if not dynamic_order:
-            return idx
-        best_j = idx
-        best_key = None
-        for j in range(idx, len(rest)):
-            key = (avail[rest[j]].bit_count(), rest[j])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_j = j
-        return best_j
-
-    def search(idx: int, used: int) -> bool:
-        nonlocal ticks
+    while True:
         ticks += 1
         if ticks % 256 == 1 and time.monotonic() > deadline:
             raise SolverTimeout
-        if idx == len(rest):
-            return True
-        j = pick(idx)
-        rest[idx], rest[j] = rest[j], rest[idx]
-        v = rest[idx]
-        cap = (1 << min(k, used + 1)) - 1
-        cand = avail[v] & cap
-        found = False
-        while cand:
-            low = cand & -cand
-            c = low.bit_length() - 1
-            cand ^= low
-            touched, ok = assign(v, c)
-            if ok and search(idx + 1, max(used, c + 1)):
-                found = True
-                break
-            undo(v, c, touched)
-        if not found:
-            rest[idx], rest[j] = rest[j], rest[idx]
-        return found
-
-    if search(0, len(clique)):
-        return tuple(colors)
-    return None
+        if not free:
+            return tuple(colors)
+        v = min(iter_bits(free), key=lambda u: avail[u].bit_count())
+        cand = avail[v] & ((1 << min(k, used + 1)) - 1)
+        while True:
+            if cand:
+                low = cand & -cand
+                cand ^= low
+                c = low.bit_length() - 1
+                touched = assign(v, c)
+                if touched is not None:
+                    stack.append((v, cand, used, touched))
+                    free ^= 1 << v
+                    used = max(used, c + 1)
+                    break
+            elif stack:
+                v, cand, used, touched = stack.pop()
+                bit = 1 << colors[v]
+                for u in touched:
+                    avail[u] |= bit
+                colors[v] = -1
+                free |= 1 << v
+            else:
+                return None
 
 
 @dataclass(frozen=True)
@@ -302,7 +288,6 @@ def chromatic_number(
     g: Graph,
     timeout: float = DEFAULT_TIMEOUT,
     clique_budget: int = DEFAULT_CLIQUE_BUDGET,
-    dynamic_order: bool = False,
 ) -> ChromaticResult:
     """Exact chromatic number with a proper witness coloring.
 
@@ -316,13 +301,9 @@ def chromatic_number(
     if g.n == 0:
         empty = Coloring((), 0)
         return ChromaticResult(0, 0, 0, True, empty, 0, (), "sandwich", 0.0)
-    # search recursion is one frame per vertex
-    if sys.getrecursionlimit() < 2 * g.n + 200:
-        sys.setrecursionlimit(2 * g.n + 200)
 
     cl = max_clique_lower(g, clique_budget, deadline)
-    ds_colors, order = _dsatur(g)
-    ds = Coloring(tuple(ds_colors), max(ds_colors) + 1)
+    ds = dsatur_upper(g)
     upper = ds.palette_size
     lower = cl.size
     if lower == upper:
@@ -334,7 +315,7 @@ def chromatic_number(
     k = lower
     while k < upper:
         try:
-            solution = _k_coloring_search(g, k, cl.vertices, order, deadline, dynamic_order)
+            solution = _k_coloring_search(g, k, cl.vertices, deadline)
         except SolverTimeout:
             return ChromaticResult(
                 None, k, upper, False, ds, cl.size, cl.vertices,

@@ -24,13 +24,14 @@ The DELTACHROM_TIMEOUT environment variable overrides the default
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 
 from .bounds import formula_chi_delta
-from .chromatic import chi_delta, is_proper
+from .chromatic import chi_delta, is_clique, is_proper
 from .constructions import (
     ConstructionResult,
     degree_diff_product_coloring,
@@ -62,6 +63,11 @@ def _default_timeout() -> float:
     return float(raw) if raw else 60.0
 
 
+def _timeout(args: argparse.Namespace) -> float:
+    # the environment is read when the command runs: the parser is built once
+    return _default_timeout() if args.timeout is None else args.timeout
+
+
 def _load_graph(term: str):
     if term.startswith("@"):
         return from_json(Path(term[1:]).read_text()), None
@@ -80,7 +86,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def cmd_chi_delta(args: argparse.Namespace) -> int:
     graph, spec = _load_graph(args.spec)
     formula = formula_chi_delta(spec) if spec is not None else None
-    result = chi_delta(graph, timeout=args.timeout)
+    result = chi_delta(graph, timeout=_timeout(args))
     agree = None
     if formula is not None and result.exact:
         agree = result.chi == formula.value
@@ -178,11 +184,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     checked = None
     if args.check:
         proper = is_proper(result.graph, result.coloring)
-        clique_ok = all(
-            result.graph.has_edge(a, b)
-            for i, a in enumerate(result.clique)
-            for b in result.clique[i + 1 :]
-        )
+        clique_ok = is_clique(result.graph, result.clique)
         sizes_match = (
             not result.clique
             or len(result.clique) == result.coloring.colors_used
@@ -208,7 +210,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts: dict = {"seed": args.seed, "timeout": args.timeout}
+    opts: dict = {"seed": args.seed, "timeout": _timeout(args)}
     if args.n:
         opts["n"] = _parse_range(args.n)
     if args.k:
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi-delta", help="exact delta-chromatic number of a family term")
     p.add_argument("spec", help="family term, e.g. C9 or X(S1,3,P3), or @graph.json")
-    p.add_argument("--timeout", type=float, default=_default_timeout())
+    p.add_argument("--timeout", type=float)
     p.add_argument("--fmt", choices=("pretty", "json"), default="pretty")
     p.add_argument("--one-based", action="store_true")
     p.set_defaults(func=cmd_chi_delta)
@@ -300,16 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--max", type=int)
-    p.add_argument("--timeout", type=float, default=_default_timeout())
+    p.add_argument("--timeout", type=float)
     p.add_argument("--fmt", choices=("pretty", "csv"), default="pretty")
     p.set_defaults(func=cmd_verify)
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -23,6 +23,7 @@ from .chromatic import (
     ChromaticResult,
     chi_delta,
     chromatic_number,
+    is_clique,
     is_proper,
     oracle_chromatic,
 )
@@ -235,7 +236,7 @@ def check_star_star(opts: dict) -> list[TheoremReport]:
             ok = (
                 is_proper(r.graph, r.coloring)
                 and r.coloring.colors_used == m * n
-                and _is_clique(r.graph, r.clique)
+                and is_clique(r.graph, r.clique)
                 and len(r.clique) == m * n
             )
             rows.append(_report("star-star", {"m": m, "n": n}, m * n,
@@ -264,7 +265,7 @@ def check_star_path(opts: dict) -> list[TheoremReport]:
             ok = (
                 is_proper(r.graph, r.coloring)
                 and r.coloring.colors_used == expected
-                and _is_clique(r.graph, r.clique)
+                and is_clique(r.graph, r.clique)
                 and len(r.clique) == expected
             )
             rows.append(_report("star-path", {"m": m, "n": n}, expected,
@@ -305,7 +306,7 @@ def check_path_path(opts: dict) -> list[TheoremReport]:
         ok = (
             is_proper(r.graph, r.coloring)
             and r.coloring.colors_used == expected
-            and _is_clique(r.graph, r.clique)
+            and is_clique(r.graph, r.clique)
             and len(r.clique) == expected
         )
         rows.append(_report("path-path", {"n": n, "k": k}, expected,
@@ -473,11 +474,3 @@ def run_check(check_id: str, opts: dict | None = None) -> list[TheoremReport]:
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check {check_id!r}; known: {', '.join(_CHECKS)}")
     return _CHECKS[check_id](opts)
-
-
-def _is_clique(g: Graph, vertices: Sequence[int]) -> bool:
-    return all(
-        g.has_edge(a, b)
-        for i, a in enumerate(vertices)
-        for b in vertices[i + 1 :]
-    )

@@ -107,6 +107,17 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def reference_is_proper(g: Graph, colors) -> bool:
+    """Walk every edge and compare its end colours."""
+    return all(colors[a] != colors[b] for a, b in g.edges())
+
+
+def pairwise_is_clique(g: Graph, vertices) -> bool:
+    """Every pair of list positions is an edge; a repeated vertex is not,
+    because the graph has no loops."""
+    return all(g.has_edge(a, b) for a, b in combinations(vertices, 2))
+
+
 def brute_clique_number(g: Graph) -> int:
     """Largest pairwise-adjacent set by descending exhaustive search."""
     assert g.n <= 16

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltachrom import (
     Coloring,
@@ -9,6 +14,7 @@ from deltachrom import (
     complement,
     delta_complement,
     dsatur_upper,
+    is_clique,
     is_proper,
     max_clique_lower,
     oracle_chromatic,
@@ -22,8 +28,15 @@ from deltachrom.families import (
     wheel_graph,
 )
 
-from _oracles import brute_clique_number, exhaustive_chromatic
-from strategies import graphs
+from _oracles import (
+    brute_clique_number,
+    exhaustive_chromatic,
+    pairwise_is_clique,
+    reference_is_proper,
+)
+from strategies import graphs, wide_graphs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Published 10-coloring of the delta-complement of the 6 x 7 grid product,
 # transcribed row by row (row-major over the 6-path first, 0-based colors).
@@ -64,6 +77,52 @@ class TestIsProper:
         delta = delta_complement(product)
         assert is_proper(delta, Coloring(GRID_6x7_TEN_COLORING, 10))
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_edge_walk(self, data):
+        g = data.draw(wide_graphs(max_n=70))
+        k = data.draw(st.integers(min_value=1, max_value=6))
+        colors = data.draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n))
+        assert is_proper(g, Coloring(tuple(colors), k)) == reference_is_proper(g, colors)
+
+    @given(graphs(max_n=10), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_proper_and_one_edge_broken(self, g, data):
+        # a DSATUR coloring is proper; copying one end's color across an
+        # edge makes it improper, and both verdicts match the edge walk
+        c = dsatur_upper(g)
+        assert is_proper(g, c) and reference_is_proper(g, c.colors)
+        if g.edge_count():
+            a, b = data.draw(st.sampled_from(g.edges()))
+            colors = list(c.colors)
+            colors[b] = colors[a]
+            assert not is_proper(g, Coloring(tuple(colors), c.palette_size))
+            assert not reference_is_proper(g, colors)
+
+
+class TestIsClique:
+    def test_edge_cases(self):
+        g = complete_graph(4)
+        assert is_clique(g, ())
+        assert is_clique(g, (2,))
+        assert is_clique(g, (0, 1, 2, 3))
+        assert not is_clique(g, (1, 1))
+        assert not is_clique(g, (0, 1, 2, 0))
+        assert not is_clique(empty_graph(3), (0, 2))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_pairwise(self, data):
+        g = data.draw(graphs(min_n=1, max_n=10))
+        vertices = data.draw(st.lists(st.integers(0, g.n - 1), max_size=6))
+        assert is_clique(g, vertices) == pairwise_is_clique(g, vertices)
+
+    @given(graphs(min_n=1, max_n=10))
+    @settings(max_examples=60, deadline=None)
+    def test_every_maximum_clique_passes(self, g):
+        vertices = max_clique_lower(g).vertices
+        assert is_clique(g, vertices) and pairwise_is_clique(g, vertices)
+
 
 class TestMaxClique:
     def test_complete(self):
@@ -83,6 +142,15 @@ class TestMaxClique:
         result = max_clique_lower(g, budget=2)
         assert not result.complete
         assert result.size == len(result.vertices)
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_tiny_budget_returns_a_true_clique(self, budget):
+        product, _ = cartesian_product([path_graph(6), path_graph(7)])
+        g = delta_complement(product)
+        result = max_clique_lower(g, budget=budget)
+        assert not result.complete
+        assert result.size == len(result.vertices) <= 10
+        assert pairwise_is_clique(g, result.vertices)
 
     @given(graphs(max_n=7))
     @settings(max_examples=60)
@@ -157,9 +225,38 @@ class TestChromaticNumber:
         assert result.lower <= 10 <= result.upper
         assert is_proper(g, result.witness)
 
-    def test_dynamic_order_same_value(self):
-        g = delta_complement(cycle_graph(9))
-        assert chromatic_number(g, dynamic_order=True).chi == 5
+    @pytest.mark.parametrize("budget", [0, 1])
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_tiny_clique_budget_keeps_the_bracket(self, n, budget):
+        # chi(delta(C_n x P3)) = 2*ceil(n/2); a truncated clique search
+        # still gives a sound lower bound, and the search closes the gap
+        product, _ = cartesian_product([cycle_graph(n), path_graph(3)])
+        g = delta_complement(product)
+        result = chromatic_number(g, clique_budget=budget)
+        assert result.exact and result.chi == 2 * ((n + 1) // 2)
+        assert result.clique_lower <= result.chi
+        assert pairwise_is_clique(g, result.clique)
+        assert is_proper(g, result.witness)
+        assert result.witness.colors_used == result.chi
+
+    def test_deep_solves_leave_the_recursion_limit_alone(self):
+        # the limit is set below the depth a recursive clique search
+        # (50 on delta(P12 x P12)) or k-search (about 18 on
+        # delta(C5 x C7)) would need, after the package is imported
+        script = (
+            "import sys\n"
+            "from deltachrom import chi_delta, generate, parse_spec\n"
+            "sys.setrecursionlimit(40)\n"
+            "a = chi_delta(generate(parse_spec('X(P12,P12)')))\n"
+            "b = chi_delta(generate(parse_spec('X(C5,C7)')))\n"
+            "print(a.chi, a.method, b.chi, b.method, sys.getrecursionlimit())\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=SRC, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["50", "sandwich", "18", "branch-and-bound", "40"]
 
 
 class TestOracle:

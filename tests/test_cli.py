@@ -189,5 +189,29 @@ class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
 
+    def test_timeout_env_set_after_import(self, capsys, monkeypatch):
+        # the parser is built once, so the variable must be read per command
+        run(capsys, "export", "P3")
+        monkeypatch.setenv("DELTACHROM_TIMEOUT", "0")
+        code, out = run(capsys, "chi-delta", "X(C9,P3)")
+        assert code == 3 and "inexact" in out
+        code, out = run(capsys, "chi-delta", "X(C9,P3)", "--timeout", "60")
+        assert code == 0 and "solver: 10" in out
+        monkeypatch.setenv("DELTACHROM_TIMEOUT", "60")
+        code, out = run(capsys, "chi-delta", "X(C9,P3)")
+        assert code == 0 and "solver: 10" in out
+
+    def test_bad_timeout_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DELTACHROM_TIMEOUT", "soon")
+        assert main(["chi-delta", "C5"]) == 2
+
+    def test_calls_do_not_share_arguments(self, capsys):
+        code, out = run(capsys, "export", "P3", "--delta", "--fmt", "dot", "--one-based")
+        assert code == 0 and out.startswith("graph {")
+        code, out = run(capsys, "export", "P3")
+        assert code == 0 and out == '{"n":3,"edges":[[0,1],[1,2]]}\n'
+        code, out = run(capsys, "verify", "path-path", "--n", "6..6", "--k", "6..6", "--fmt", "csv")
+        assert code == 0 and out.count("\n") == 2
+
     def test_unknown_flag_rejected(self, capsys):
         assert main(["export", "P3", "--frobnicate"]) == 2
