@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, delta_complement, iter_bits
+from .graphs import Graph, degree_masks, delta_complement, iter_bits
 
 DEFAULT_TIMEOUT = 60.0
 DEFAULT_CLIQUE_BUDGET = 10_000_000
@@ -84,8 +84,9 @@ def max_clique_lower(
     """Branch-and-bound maximum clique with greedy-coloring pruning.
 
     With an unexhausted budget the result is the maximum clique; on
-    budget (or deadline) exhaustion the best clique found so far is
-    returned with ``complete=False``. The returned vertex set is
+    budget (or deadline) exhaustion the best clique found so far, or
+    vertex 0 alone when no leaf was reached, is returned with
+    ``complete=False``. The returned vertex set is
     re-verified to be pairwise adjacent before returning.
     """
     n = g.n
@@ -147,6 +148,9 @@ def max_clique_lower(
         elif rsize + 1 > best_size:
             best_size, best_mask = rsize + 1, rmask | vb
 
+    if not best_size:
+        # stopped before the first leaf; any one vertex is a clique
+        best_size, best_mask = 1, 1
     verts = tuple(iter_bits(best_mask))
     if not is_clique(g, verts):
         raise RuntimeError("internal error: clique verification failed")
@@ -157,27 +161,74 @@ def dsatur_upper(g: Graph) -> Coloring:
     """Proper DSATUR coloring; deterministic given the graph.
 
     Vertex choice: maximum saturation, then maximum degree, then lowest
-    id.
+    id; the vertex gets the lowest color no neighbour has.
+
+    Each step is O(log n) whole-graph mask operations, with no loop
+    over vertices. The vertices that see color c are ``seen[c]``, the
+    union of the neighbour rows of the vertices colored c, so a
+    vertex's saturation is the number of masks ``seen`` it is in.
+    Saturations are kept bit-sliced: ``sat[j]`` holds the vertices
+    whose saturation has bit j set, and coloring v with c adds one to
+    the uncolored vertices of ``adj[v] & ~seen[c]`` by a ripple carry
+    over the planes. Degrees are sliced the same way once. The choice
+    narrows the uncolored mask plane by plane from the highest bit
+    down, saturation first, then degree, and takes the lowest set bit
+    that is left. The masks ``seen`` are the leaves of a binary tree
+    whose every inner node is the AND of its two children, that is the
+    vertices that see every color below it; first fit descends it to
+    the lowest color v does not see, going left unless the left
+    child's mask holds v.
     """
     n = g.n
     if n == 0:
         return Coloring((), 0)
     adj = g._adj
-    colors = [-1] * n
-    neighbor_colors = [0] * n
-    degrees = g.degrees()
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (neighbor_colors[u].bit_count(), degrees[u], -u),
-        )
-        c = 0
-        while neighbor_colors[v] >> c & 1:
-            c += 1
+    by_degree = degree_masks(g)
+    top = max(by_degree).bit_length()
+    degree_planes = [
+        sum(mask for d, mask in by_degree.items() if d >> j & 1)
+        for j in reversed(range(top))
+    ]
+    # first fit never goes past the maximum degree, so 2**top leaves
+    # hold every color; leaf `leaves + c` is seen[c]
+    leaves = 1 << top
+    tree = [0] * (2 * leaves)
+    sat: list[int] = []
+    colors = [0] * n
+    palette = 0
+    uncolored = (1 << n) - 1
+    while uncolored:
+        cand = uncolored
+        for plane in reversed(sat):
+            if narrowed := cand & plane:
+                cand = narrowed
+        for plane in degree_planes:
+            if narrowed := cand & plane:
+                cand = narrowed
+        low = cand & -cand
+        v = low.bit_length() - 1
+        uncolored ^= low
+        node = 1
+        while node < leaves:
+            node <<= 1
+            if tree[node] & low:
+                node += 1
+        c = node - leaves
         colors[v] = c
-        for w in iter_bits(adj[v]):
-            neighbor_colors[w] |= 1 << c
-    return Coloring(tuple(colors), max(colors) + 1)
+        palette = max(palette, c + 1)
+        row = adj[v]
+        carry = row & uncolored & ~tree[node]
+        tree[node] |= row
+        while node > 1:
+            node >>= 1
+            tree[node] = tree[2 * node] & tree[2 * node + 1]
+        for j, plane in enumerate(sat):
+            if not carry:
+                break
+            sat[j], carry = plane ^ carry, plane & carry
+        if carry:
+            sat.append(carry)
+    return Coloring(tuple(colors), palette)
 
 
 def _k_coloring_search(
@@ -350,24 +401,38 @@ def oracle_chromatic(g: Graph) -> int:
     if g.n == 0:
         return 0
     nbrs = [g.neighbors(v) for v in range(g.n)]
-    assignment = [-1] * g.n
-
-    def colorable(v: int, k: int, used: int) -> bool:
-        if v == g.n:
-            return True
-        forbidden = {assignment[u] for u in nbrs[v] if assignment[u] != -1}
-        for c in range(min(k, used + 1)):
-            if c not in forbidden:
-                assignment[v] = c
-                if colorable(v + 1, k, max(used, c + 1)):
-                    return True
-                assignment[v] = -1
-        return False
-
     for k in range(1, g.n + 1):
-        if colorable(0, k, 0):
+        if _oracle_colorable(nbrs, k):
             return k
     return g.n
+
+
+def _oracle_colorable(nbrs: list[tuple[int, ...]], k: int) -> bool:
+    """Exhaustive k-coloring of vertices 0, 1, ... in order.
+
+    Vertices from v on are uncolored; ``used[v]`` counts the colors
+    opened by vertices 0..v-1, so v may take colors 0..used[v] (below
+    k), and a backtrack resumes the previous vertex at its next color.
+    """
+    n = len(nbrs)
+    assignment = [-1] * n
+    used = [0] * (n + 1)
+    v = c = 0
+    while v < n:
+        if c < min(k, used[v] + 1):
+            if any(assignment[u] == c for u in nbrs[v]):
+                c += 1
+            else:
+                assignment[v] = c
+                used[v + 1] = max(used[v], c + 1)
+                v, c = v + 1, 0
+        elif v == 0:
+            return False
+        else:
+            v -= 1
+            c = assignment[v] + 1
+            assignment[v] = -1
+    return True
 
 
 def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT, **kwargs) -> ChromaticResult:

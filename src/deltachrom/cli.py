@@ -146,7 +146,21 @@ def cmd_structure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _solved(term: str, args: argparse.Namespace):
+    """The graph of a term and an optimal coloring of its delta-complement,
+    or None in place of the coloring, with the bracket on stderr, when the
+    solve is cut short."""
+    graph, _ = _load_graph(term)
+    result = chi_delta(graph, timeout=_timeout(args))
+    if not result.exact:
+        print(f"error: chi-delta of {term} inexact, bracket "
+              f"[{result.lower}, {result.upper}]", file=sys.stderr)
+        return graph, None
+    return graph, result.witness
+
+
 def _construction_result(args: argparse.Namespace):
+    """The construction's result, or None when a solve it needs was cut short."""
     name = args.construction
     params = args.params
     if name == "star-star":
@@ -160,8 +174,9 @@ def _construction_result(args: argparse.Namespace):
         return path_path_coloring(n, k)
     if name == "join-p3":
         (term,) = params
-        h, _ = _load_graph(term)
-        ch = chi_delta(h).witness
+        h, ch = _solved(term, args)
+        if ch is None:
+            return None
         coloring = join_p3_coloring(h, ch)
         product, index = cartesian_product(
             [join(complete_graph(1), h), generate(parse_spec("P3"))]
@@ -169,9 +184,10 @@ def _construction_result(args: argparse.Namespace):
         return ConstructionResult(delta_complement(product), index, coloring, ())
     if name == "degree-diff":
         term_g, term_h = params
-        g, _ = _load_graph(term_g)
+        g, c0 = _solved(term_g, args)
+        if c0 is None:
+            return None
         h, _ = _load_graph(term_h)
-        c0 = chi_delta(g).witness
         coloring = degree_diff_product_coloring(g, c0, h)
         product, index = cartesian_product([g, h])
         return ConstructionResult(delta_complement(product), index, coloring, ())
@@ -180,6 +196,8 @@ def _construction_result(args: argparse.Namespace):
 
 def cmd_construct(args: argparse.Namespace) -> int:
     result = _construction_result(args)
+    if result is None:
+        return EXIT_INEXACT
     off = 1 if args.one_based else 0
     checked = None
     if args.check:
@@ -290,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="+")
     p.add_argument("--check", action="store_true",
                    help="re-verify properness and the clique certificate")
+    p.add_argument("--timeout", type=float)
     p.add_argument("--fmt", choices=("json", "dot"), default="json")
     p.add_argument("--one-based", action="store_true")
     p.set_defaults(func=cmd_construct)

@@ -137,6 +137,15 @@ def degree_partition(g: Graph) -> DegreePartition:
     return DegreePartition(classes)
 
 
+def degree_masks(g: Graph) -> dict[int, int]:
+    """The mask of the vertices of each degree, keyed by the degree."""
+    same: dict[int, int] = {}
+    for v, row in enumerate(g._adj):
+        d = row.bit_count()
+        same[d] = same.get(d, 0) | 1 << v
+    return same
+
+
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     masks = [full & ~g._adj[v] & ~(1 << v) for v in range(g.n)]
@@ -151,10 +160,7 @@ def delta_complement(g: Graph) -> Graph:
     degrees measured in g.
     """
     full = (1 << g.n) - 1
-    same: dict[int, int] = {}
-    for v in range(g.n):
-        d = g._adj[v].bit_count()
-        same[d] = same.get(d, 0) | (1 << v)
+    same = degree_masks(g)
     masks = []
     for v in range(g.n):
         s = same[g._adj[v].bit_count()]

@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     ProductIndex,
     cartesian_product,
+    degree_masks,
     delta_complement,
 )
 
@@ -55,10 +56,7 @@ def _extra_graph(product: Graph, index: ProductIndex) -> Graph:
     every ``stride_i`` positions over ``size_i`` positions, shifted to
     start where u's i-th coordinate is 0.
     """
-    same: dict[int, int] = {}
-    for v, mask in enumerate(product._adj):
-        d = mask.bit_count()
-        same[d] = same.get(d, 0) | 1 << v
+    same = degree_masks(product)
     axes = [
         (sum(1 << j * stride for j in range(size)), stride, size)
         for size, stride in zip(index.sizes, index.strides)

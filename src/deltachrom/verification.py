@@ -158,13 +158,14 @@ def check_wheel_formula(opts: dict) -> list[TheoremReport]:
 
 def _edge_union_identity(factors: Sequence[Graph]) -> tuple[bool, str]:
     dec = delta_of_product(factors)
-    left = set(dec.delta_of_product.edges())
-    base = set(dec.product_of_deltas.edges())
-    extra = set(dec.extra_edges)
-    union_ok = left == base | extra
-    disjoint_ok = not (base & extra)
-    eq_ok = equality_holds(factors) == (not extra)
-    detail = f"|E|={len(left)} |base|={len(base)} |S|={len(extra)}"
+    left, base, extra = dec.delta_of_product, dec.product_of_deltas, dec.extra
+    rows = [(left.adjacency_mask(u), base.adjacency_mask(u), extra.adjacency_mask(u))
+            for u in range(left.n)]
+    union_ok = all(whole == b | e for whole, b, e in rows)
+    disjoint_ok = not any(b & e for _, b, e in rows)
+    s_edges = extra.edge_count()
+    eq_ok = equality_holds(factors) == (s_edges == 0)
+    detail = f"|E|={left.edge_count()} |base|={base.edge_count()} |S|={s_edges}"
     return union_ok and disjoint_ok and eq_ok, detail
 
 
@@ -192,7 +193,7 @@ def check_equality(opts: dict) -> list[TheoremReport]:
     rows = []
     for i, pair in enumerate(seeded_graph_tuples(trials, 2, 2, 6, seed)):
         t0 = time.perf_counter()
-        s_empty = not delta_of_product(pair).extra_edges
+        s_empty = delta_of_product(pair).extra.edge_count() == 0
         ok = equality_holds(pair) == s_empty
         rows.append(_report("equality", {"trial": i}, "equality_holds iff S empty",
                             f"holds={equality_holds(pair)} S_empty={s_empty}", ok, t0))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from itertools import combinations, permutations, product as iproduct
 
-from deltachrom import Graph
+from deltachrom import Coloring, Graph
 
 
 def naive_delta_edges(g: Graph) -> set[tuple[int, int]]:
@@ -139,3 +139,24 @@ def exhaustive_chromatic(g: Graph) -> int:
             if all(assignment[a] != assignment[b] for a, b in edges):
                 return k
     return g.n
+
+
+def reference_dsatur(g: Graph) -> Coloring:
+    """DSATUR by a full scan per step: the uncoloured vertex with the most
+    distinct neighbour colours, then the highest degree, then the lowest
+    id, takes the lowest colour no neighbour has."""
+    colors = [-1] * g.n
+    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+    degrees = g.degrees()
+    for _ in range(g.n):
+        v = max(
+            (u for u in range(g.n) if colors[u] == -1),
+            key=lambda u: (len(neighbor_colors[u]), degrees[u], -u),
+        )
+        c = 0
+        while c in neighbor_colors[v]:
+            c += 1
+        colors[v] = c
+        for w in g.neighbors(v):
+            neighbor_colors[w].add(c)
+    return Coloring(tuple(colors), max(colors, default=-1) + 1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
 from deltachrom import Graph
@@ -28,6 +30,16 @@ def wide_graphs(draw, max_n: int = 130):
     vertex = st.integers(min_value=0, max_value=n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
     return Graph(n, [(u, v) for u, v in pairs if u != v])
+
+
+@st.composite
+def dense_graphs(draw, max_n: int = 100):
+    """Graphs with up to ``max_n`` vertices at a drawn edge density, from
+    edgeless to complete."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 @st.composite

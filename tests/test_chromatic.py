@@ -1,5 +1,7 @@
+import gc
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from deltachrom import (
     Coloring,
+    Graph,
     cartesian_product,
     chi_delta,
     chromatic_number,
@@ -23,6 +26,8 @@ from deltachrom.families import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    generate,
+    parse_spec,
     path_graph,
     star_graph,
     wheel_graph,
@@ -32,9 +37,10 @@ from _oracles import (
     brute_clique_number,
     exhaustive_chromatic,
     pairwise_is_clique,
+    reference_dsatur,
     reference_is_proper,
 )
-from strategies import graphs, wide_graphs
+from strategies import dense_graphs, graphs, wide_graphs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -149,8 +155,21 @@ class TestMaxClique:
         g = delta_complement(product)
         result = max_clique_lower(g, budget=budget)
         assert not result.complete
-        assert result.size == len(result.vertices) <= 10
+        assert 1 <= result.size == len(result.vertices) <= 10
         assert pairwise_is_clique(g, result.vertices)
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_stop_before_any_leaf_keeps_one_vertex(self, budget):
+        # the first branch of the root opens a second node, so budget 1
+        # stops before any leaf just as budget 0 does
+        g = complement(cycle_graph(9))
+        result = max_clique_lower(g, budget=budget)
+        assert (result.size, result.vertices, result.complete) == (1, (0,), False)
+
+    def test_expired_deadline_keeps_one_vertex(self):
+        g = complement(cycle_graph(9))
+        result = max_clique_lower(g, deadline=time.monotonic() - 1)
+        assert (result.size, result.vertices, result.complete) == (1, (0,), False)
 
     @given(graphs(max_n=7))
     @settings(max_examples=60)
@@ -172,6 +191,41 @@ class TestDsatur:
         c = dsatur_upper(g)
         assert is_proper(g, c)
         assert c.palette_size == (max(c.colors) + 1 if g.n else 0)
+
+    @given(dense_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_same_coloring_as_full_scan(self, g):
+        assert dsatur_upper(g) == reference_dsatur(g)
+
+    @pytest.mark.parametrize("g", [
+        Graph(0), empty_graph(1), empty_graph(70), complete_graph(1),
+        complete_graph(65), complete_graph(130),
+    ], ids=["n0", "N1", "N70", "K1", "K65", "K130"])
+    def test_edgeless_and_complete(self, g):
+        # K65 and K130 carry the saturation counter over several bits
+        assert dsatur_upper(g) == reference_dsatur(g)
+
+    @pytest.mark.parametrize("term", [
+        "C3", "C4", "C17", "C40", "X(C4,C4)", "X(C5,C7)", "X(C9,C11)",
+        "X(C3,C3,C3)", "X(C25,C25)",
+    ])
+    def test_regular_graphs_break_ties_by_id(self, term):
+        # every vertex has the same degree, in g and in its delta-complement
+        g = generate(parse_spec(term))
+        assert dsatur_upper(g) == reference_dsatur(g)
+        assert dsatur_upper(delta_complement(g)) == reference_dsatur(delta_complement(g))
+
+    @pytest.mark.parametrize("term", [
+        "X(P6,P7)", "X(P25,P25)", "X(P9,P9,P7)", "X(S1,5,P20)", "X(S1,24,P25)",
+        "X(S1,4,S1,6)", "X(S1,3,S1,3,P5)", "X(C5,P30)", "X(C24,C26)", "X(P10,C13)",
+    ])
+    def test_delta_of_products(self, term):
+        g = delta_complement(generate(parse_spec(term)))
+        assert dsatur_upper(g) == reference_dsatur(g)
+
+    def test_delta_of_p40_grid(self):
+        g = delta_complement(generate(parse_spec("X(P40,P40)")))
+        assert dsatur_upper(g) == reference_dsatur(g)
 
 
 class TestChromaticNumber:
@@ -222,7 +276,8 @@ class TestChromaticNumber:
         g = delta_complement(product)
         result = chromatic_number(g, timeout=0.0)
         assert not result.exact and result.chi is None
-        assert result.lower <= 10 <= result.upper
+        assert 1 <= result.lower <= 10 <= result.upper
+        assert result.clique_lower >= 1
         assert is_proper(g, result.witness)
 
     @pytest.mark.parametrize("budget", [0, 1])
@@ -278,6 +333,16 @@ class TestOracle:
     @settings(max_examples=40)
     def test_agrees_with_exhaustive_assignments(self, g):
         assert oracle_chromatic(g) == exhaustive_chromatic(g)
+
+    def test_call_leaves_no_reference_cycle(self):
+        g = complement(cycle_graph(9))
+        gc.disable()
+        try:
+            gc.collect()
+            assert oracle_chromatic(g) == 5
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestChiDelta:

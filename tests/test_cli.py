@@ -86,6 +86,15 @@ class TestChiDelta:
         assert code == 3
         assert "inexact" in out
 
+    def test_cut_short_bracket_starts_at_one(self, capsys, monkeypatch):
+        # any one vertex is a clique, even when the clique search stopped
+        # at its root node
+        monkeypatch.setenv("DELTACHROM_TIMEOUT", "0")
+        code, out = run(capsys, "chi-delta", "X(C5,C7)", "--fmt", "json")
+        solver = json.loads(out)["solver"]
+        assert code == 3 and not solver["exact"]
+        assert 1 <= solver["lower"] <= 18 <= solver["upper"]
+
 
 class TestStructure:
     def test_square_counts(self, capsys):
@@ -142,6 +151,24 @@ class TestConstruct:
     def test_hypothesis_violation_is_usage_error(self, capsys):
         code, _ = run(capsys, "construct", "degree-diff", "P4", "P4")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("join-p3", "X(C5,C7)", "--check"),
+        ("degree-diff", "X(C5,C7)", "P3", "--check"),
+    ])
+    def test_expired_env_deadline_builds_nothing(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("DELTACHROM_TIMEOUT", "0")
+        assert main(["construct", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "X(C5,C7)" in captured.err and "inexact, bracket [" in captured.err
+
+    def test_timeout_flag_overrides_env(self, capsys, monkeypatch):
+        code, out = run(capsys, "construct", "join-p3", "X(C5,C7)", "--timeout", "0")
+        assert code == 3 and out == ""
+        monkeypatch.setenv("DELTACHROM_TIMEOUT", "0")
+        code, out = run(capsys, "construct", "join-p3", "C5", "--timeout", "60", "--check")
+        assert code == 0 and json.loads(out)["check"] == "pass"
 
 
 class TestVerify:
