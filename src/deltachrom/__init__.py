@@ -2,13 +2,12 @@
 
 from .graphs import (
     MAX_PRODUCT_VERTICES,
-    DegreePartition,
     Graph,
     ProductIndex,
     SizeLimitError,
     cartesian_product,
     complement,
-    degree_partition,
+    degree_masks,
     delta_complement,
     from_json,
     induced_subgraph,

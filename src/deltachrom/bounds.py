@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .families import FamilySpec
-from .graphs import Graph, degree_partition
+from .graphs import Graph, degree_masks
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -21,6 +21,12 @@ def degree_difference_set(g: Graph) -> frozenset[int]:
     """All positive pairwise degree differences occurring in g."""
     degs = sorted(set(g.degrees()))
     return frozenset(b - a for i, a in enumerate(degs) for b in degs[i + 1 :])
+
+
+def _class_counts(g: Graph) -> tuple[int, int]:
+    """m, the number of degree classes of g, and n_max, the largest class size."""
+    sizes = [mask.bit_count() for mask in degree_masks(g).values()]
+    return len(sizes), max(sizes, default=0)
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,8 @@ def ng_bounds_check(g: Graph, chi: int, chi_d: int) -> tuple[BoundCheck, BoundCh
     with the root handled as 4*n_max <= (chi+chi_d)^2. Hypothesis: at
     least 4 vertices.
     """
-    part = degree_partition(g)
-    n, m, nmax = g.n, part.m, part.n_max
+    n = g.n
+    m, nmax = _class_counts(g)
     hyp = n >= 4
     params = {"n": n, "m": m, "n_max": nmax, "chi": chi, "chi_delta": chi_d}
     prod_mid = chi * chi_d
@@ -180,22 +186,22 @@ def upper_degree_diff_check(
     Hypothesis (evaluated here): the positive degree-difference sets of
     the two factors are disjoint.
     """
-    part_h = degree_partition(h)
+    m_h, n_max_h = _class_counts(h)
     hyp = not (degree_difference_set(g) & degree_difference_set(h))
-    rhs = part_h.n_max * max(chi_d_g, part_h.m)
+    rhs = n_max_h * max(chi_d_g, m_h)
     return BoundCheck(
         "upper-degree-diff",
         {
             "chi_delta_g": chi_d_g,
-            "n_max_h": part_h.n_max,
-            "m_h": part_h.m,
+            "n_max_h": n_max_h,
+            "m_h": m_h,
             "chi_delta_product": chi_d_product,
         },
         lhs=chi_d_product,
         rhs=rhs,
         holds=chi_d_product <= rhs,
         hypothesis_met=hyp,
-        detail=f"{chi_d_product} <= {part_h.n_max}*max({chi_d_g},{part_h.m}) = {rhs}",
+        detail=f"{chi_d_product} <= {n_max_h}*max({chi_d_g},{m_h}) = {rhs}",
     )
 
 

@@ -16,9 +16,11 @@ Graph terms use the family grammar (P7, C5, K4, N3, S1,4, W6, M(3,4),
 J(K1,C5), X(P6,P7)); an argument of the form @file.json loads a raw
 graph from the JSON edge-list format instead.
 
-Exit codes: 0 ok, 1 check failure, 2 usage error, 3 timeout/inexact.
-The DELTACHROM_TIMEOUT environment variable overrides the default
-60-second solver budget.
+Exit codes: 0 ok, 1 check failure, 2 usage error, 3 timeout/inexact,
+141 standard output closed by its reader (128 + SIGPIPE, the status a
+shell reports for a process that a closed pipe ends). The
+DELTACHROM_TIMEOUT environment variable overrides the default 60-second
+solver budget.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import sys
 from pathlib import Path
 
 from .bounds import formula_chi_delta
-from .chromatic import chi_delta, is_clique, is_proper
+from .chromatic import DEFAULT_TIMEOUT, chi_delta
 from .constructions import (
     ConstructionResult,
     degree_diff_product_coloring,
@@ -56,11 +58,12 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INEXACT = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _default_timeout() -> float:
     raw = os.environ.get("DELTACHROM_TIMEOUT")
-    return float(raw) if raw else 60.0
+    return float(raw) if raw else DEFAULT_TIMEOUT
 
 
 def _timeout(args: argparse.Namespace) -> float:
@@ -199,15 +202,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if result is None:
         return EXIT_INEXACT
     off = 1 if args.one_based else 0
-    checked = None
-    if args.check:
-        proper = is_proper(result.graph, result.coloring)
-        clique_ok = is_clique(result.graph, result.clique)
-        sizes_match = (
-            not result.clique
-            or len(result.clique) == result.coloring.colors_used
-        )
-        checked = proper and clique_ok and sizes_match
+    checked = result.certified() if args.check else None
     if args.fmt == "dot":
         print(to_dot(result.graph, result.coloring.colors, one_based=args.one_based), end="")
     else:
@@ -343,7 +338,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import ceil_div, degree_difference_set
-from .chromatic import Coloring, dsatur_upper, is_proper
+from .chromatic import Coloring, dsatur_upper, is_clique, is_proper
 from .families import (
     complete_graph,
     empty_graph,
@@ -33,7 +33,7 @@ from .graphs import (
     Graph,
     ProductIndex,
     cartesian_product,
-    degree_partition,
+    degree_masks,
     delta_complement,
     iter_bits,
 )
@@ -52,6 +52,15 @@ class ConstructionResult:
     index: ProductIndex
     coloring: Coloring
     clique: tuple[int, ...]
+
+    def certified(self) -> bool:
+        """The coloring is proper, the clique is a true clique, and a
+        non-empty clique is as large as the number of colors used."""
+        return (
+            is_proper(self.graph, self.coloring)
+            and is_clique(self.graph, self.clique)
+            and (not self.clique or len(self.clique) == self.coloring.colors_used)
+        )
 
 
 def cyclic_block_grid(
@@ -98,21 +107,20 @@ def degree_diff_product_coloring(g: Graph, c0: Coloring, h: Graph) -> Coloring:
             f"degree difference {shared[0]} occurs in both factors; "
             "the coloring rule needs disjoint positive degree differences"
         )
-    part = degree_partition(h)
-    p = max(c0.colors_used, part.m)
+    classes = sorted(degree_masks(h).items())  # ascending degree
+    sizes = [mask.bit_count() for _, mask in classes]
+    p = max(c0.colors_used, len(classes))
     # normalize whatever colors c0 uses onto 1..q, order-preserving
     ranks = {c: r + 1 for r, c in enumerate(sorted(set(c0.colors)))}
-    grid = cyclic_block_grid(
-        [ranks[c] for c in c0.colors], part.class_sizes(), p
-    )
+    grid = cyclic_block_grid([ranks[c] for c in c0.colors], sizes, p)
     colors = [-1] * (g.n * h.n)
     column = 0
-    for _, members in part.classes:
-        for vh in members:
+    for _, mask in classes:
+        for vh in iter_bits(mask):
             for vg in range(g.n):
                 colors[vg * h.n + vh] = grid[vg][column] - 1
             column += 1
-    return Coloring(tuple(colors), part.n_max * p)
+    return Coloring(tuple(colors), max(sizes, default=0) * p)
 
 
 def join_p3_coloring(h: Graph, ch: Coloring) -> Coloring:

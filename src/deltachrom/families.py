@@ -26,9 +26,6 @@ from typing import Sequence
 
 from .graphs import Graph, cartesian_product
 
-_ATOM_KINDS = {"path", "cycle", "complete", "empty", "star", "wheel", "windmill"}
-_KINDS = _ATOM_KINDS | {"join", "product"}
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -78,44 +75,17 @@ def generate(spec: FamilySpec) -> Graph:
     isomorphic) graphs.
     """
     kind = spec.kind
-    if kind == "path":
+    if kind in _ATOMS:
         (n,) = spec.params
-        if n < 1:
-            raise ValueError(f"path needs >= 1 vertex, got {n}")
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "cycle":
-        (n,) = spec.params
-        if n < 3:
-            raise ValueError(f"cycle needs >= 3 vertices, got {n}")
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "complete":
-        (n,) = spec.params
-        if n < 1:
-            raise ValueError(f"complete graph needs >= 1 vertex, got {n}")
-        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if kind == "empty":
-        (n,) = spec.params
-        if n < 0:
-            raise ValueError(f"empty graph needs >= 0 vertices, got {n}")
-        return Graph(n)
-    if kind == "star":
-        (m,) = spec.params
-        if m < 1:
-            raise ValueError(f"star needs >= 1 pendant, got {m}")
-        return Graph(m + 1, [(0, i) for i in range(1, m + 1)])
-    if kind == "wheel":
-        (n,) = spec.params
-        if n < 3:
-            raise ValueError(f"wheel needs >= 3 rim vertices, got {n}")
-        rim = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
-        spokes = [(0, i) for i in range(1, n + 1)]
-        return Graph(n + 1, rim + spokes)
+        least, needs, build = _ATOMS[kind]
+        if n < least:
+            raise ValueError(f"{needs}, got {n}")
+        return build(n)
     if kind == "windmill":
         m, n = spec.params
         if m < 1 or n < 1:
             raise ValueError(f"windmill needs m,n >= 1, got ({m},{n})")
-        blades = disjoint_union([generate(complete_spec(n)) for _ in range(m)])
-        return join(generate(complete_spec(1)), blades)
+        return join(Graph(1), disjoint_union([_complete(n)] * m))
     if kind == "join":
         a, b = spec.children
         return join(generate(a), generate(b))
@@ -123,6 +93,36 @@ def generate(spec: FamilySpec) -> Graph:
         product, _ = cartesian_product([generate(c) for c in spec.children])
         return product
     raise ValueError(f"unknown family kind {kind!r}")
+
+
+def _path_rows(n: int) -> list[int]:
+    """Row i of the path on n vertices: bits i - 1 and i + 1."""
+    full = (1 << n) - 1
+    return [0b101 << i >> 1 & full for i in range(n)]
+
+
+def _cycle(n: int) -> Graph:
+    rows = _path_rows(n)
+    rows[0] |= 1 << n - 1
+    rows[-1] |= 1
+    return Graph._from_masks(n, rows)
+
+
+def _complete(n: int) -> Graph:
+    full = (1 << n) - 1
+    return Graph._from_masks(n, [full ^ 1 << i for i in range(n)])
+
+
+# one-parameter atoms: kind -> (least parameter, the rule it breaks, builder)
+_ATOMS = {
+    "path": (1, "path needs >= 1 vertex", lambda n: Graph._from_masks(n, _path_rows(n))),
+    "cycle": (3, "cycle needs >= 3 vertices", _cycle),
+    "complete": (1, "complete graph needs >= 1 vertex", _complete),
+    "empty": (0, "empty graph needs >= 0 vertices", Graph),
+    "star": (1, "star needs >= 1 pendant", lambda m: join(Graph(1), Graph(m))),
+    "wheel": (3, "wheel needs >= 3 rim vertices", lambda n: join(Graph(1), _cycle(n))),
+}
+_KINDS = set(_ATOMS) | {"windmill", "join", "product"}
 
 
 def path_graph(n: int) -> Graph:

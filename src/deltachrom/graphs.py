@@ -107,36 +107,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-@dataclass(frozen=True)
-class DegreePartition:
-    """Vertex classes grouped by degree, strictly ascending in degree.
-
-    Classes are disjoint, nonempty and cover every vertex; ``m`` is the
-    number of distinct degrees and ``n_max`` the largest class size.
-    """
-
-    classes: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.classes)
-
-    @property
-    def n_max(self) -> int:
-        return max((len(vs) for _, vs in self.classes), default=0)
-
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(vs) for _, vs in self.classes)
-
-
-def degree_partition(g: Graph) -> DegreePartition:
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.degree(v), []).append(v)
-    classes = tuple((d, tuple(groups[d])) for d in sorted(groups))
-    return DegreePartition(classes)
-
-
 def degree_masks(g: Graph) -> dict[int, int]:
     """The mask of the vertices of each degree, keyed by the degree."""
     same: dict[int, int] = {}
@@ -170,18 +140,18 @@ def delta_complement(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph on the given vertex set, remapped to 0..len-1 in sorted order."""
+    """Subgraph on the given vertex set, remapped to 0..len-1 in sorted order.
+
+    Each row is compressed from the vertex's mask: its binary digits at
+    the kept positions, in ascending order, are the new row's digits.
+    """
     vs = sorted(set(vertices))
-    pos = {}
-    for i, v in enumerate(vs):
+    kept = bytearray(g.n)
+    for v in vs:
         g._check_vertex(v)
-        pos[v] = i
-    edges = []
-    for u in vs:
-        for w in g.neighbors(u):
-            if u < w and w in pos:
-                edges.append((pos[u], pos[w]))
-    return Graph(len(vs), edges)
+        kept[v] = 1
+    masks = [int("0" + "".join(compress(bin(g._adj[v])[:1:-1], kept))[::-1], 2) for v in vs]
+    return Graph._from_masks(len(vs), masks)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,10 @@ from .graphs import (
     delta_complement,
 )
 
-Edge = tuple[int, int]
-
 
 @dataclass(frozen=True)
 class DeltaProductDecomposition:
-    """The three graphs of the decomposition plus the extra edge set.
+    """The three graphs of the decomposition plus the extra edge set S.
 
     All live on the same flat vertex ids defined by ``index``; ``extra``
     is S as a graph on those ids. The edge set of ``delta_of_product``
@@ -41,11 +39,6 @@ class DeltaProductDecomposition:
     delta_of_product: Graph
     product_of_deltas: Graph
     extra: Graph
-
-    @property
-    def extra_edges(self) -> tuple[Edge, ...]:
-        """S as sorted (a, b) pairs with a < b."""
-        return tuple(self.extra.edges())
 
 
 def _extra_graph(product: Graph, index: ProductIndex) -> Graph:
@@ -72,7 +65,7 @@ def _extra_graph(product: Graph, index: ProductIndex) -> Graph:
 
 def extra_edge_set(
     factors: Sequence[Graph], max_vertices: int = MAX_PRODUCT_VERTICES
-) -> list[Edge]:
+) -> list[tuple[int, int]]:
     """The extra edge set S of the product's delta-complement.
 
     Exactly the pairs {u, v} of product vertices differing in two or

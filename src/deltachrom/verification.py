@@ -20,14 +20,18 @@ from .bounds import (
     upper_degree_diff_check,
 )
 from .chromatic import (
+    DEFAULT_TIMEOUT,
     ChromaticResult,
     chi_delta,
     chromatic_number,
-    is_clique,
-    is_proper,
     oracle_chromatic,
 )
-from .constructions import path_path_coloring, star_path_coloring, star_star_coloring
+from .constructions import (
+    ConstructionResult,
+    path_path_coloring,
+    star_path_coloring,
+    star_star_coloring,
+)
 from .families import (
     FamilySpec,
     cycle_graph,
@@ -85,6 +89,13 @@ def _cut_short(check_id, params, expected, t0, *results: ChromaticResult) -> The
     return None
 
 
+def _construction_row(check_id, params, expected, r: ConstructionResult, t0) -> TheoremReport:
+    """A certified construction whose colors and clique both number ``expected``."""
+    ok = r.certified() and r.coloring.colors_used == expected == len(r.clique)
+    return _report(check_id, params, expected,
+                   f"colors={r.coloring.colors_used} clique={len(r.clique)}", ok, t0)
+
+
 # --- seeded corpora ----------------------------------------------------------
 
 
@@ -126,7 +137,7 @@ def _formula_rows(check_id, spec_of, graph_of, n_range, not_covered, opts) -> li
     """The closed form against the solver for each n; a skip where the
     closed form declines n, with the true solver value still shown."""
     lo, hi = opts.get("n", n_range)
-    timeout = opts.get("timeout", 60.0)
+    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
     rows = []
     for n in range(lo, hi + 1):
         t0 = time.perf_counter()
@@ -210,7 +221,7 @@ def check_equality(opts: dict) -> list[TheoremReport]:
 
 def check_cycle_p3(opts: dict) -> list[TheoremReport]:
     lo, hi = opts.get("n", (5, 8))
-    timeout = opts.get("timeout", 60.0)
+    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
     rows = []
     for n in range(lo, hi + 1):
         t0 = time.perf_counter()
@@ -228,21 +239,13 @@ def check_cycle_p3(opts: dict) -> list[TheoremReport]:
 def check_star_star(opts: dict) -> list[TheoremReport]:
     m_lo, m_hi = opts.get("m", (3, 5))
     n_lo, n_hi = opts.get("n", (3, 5))
-    timeout = opts.get("timeout", 60.0)
+    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
     rows = []
     for m in range(m_lo, m_hi + 1):
         for n in range(n_lo, n_hi + 1):
             t0 = time.perf_counter()
             r = star_star_coloring(m, n)
-            ok = (
-                is_proper(r.graph, r.coloring)
-                and r.coloring.colors_used == m * n
-                and is_clique(r.graph, r.clique)
-                and len(r.clique) == m * n
-            )
-            rows.append(_report("star-star", {"m": m, "n": n}, m * n,
-                                f"colors={r.coloring.colors_used} clique={len(r.clique)}",
-                                ok, t0))
+            rows.append(_construction_row("star-star", {"m": m, "n": n}, m * n, r, t0))
     t0 = time.perf_counter()
     product, _ = cartesian_product([generate(star_spec(3)), generate(star_spec(3))])
     res = chi_delta(product, timeout=timeout)
@@ -256,22 +259,14 @@ def check_star_star(opts: dict) -> list[TheoremReport]:
 def check_star_path(opts: dict) -> list[TheoremReport]:
     m_lo, m_hi = opts.get("m", (3, 4))
     n_lo, n_hi = opts.get("n", (3, 8))
-    timeout = opts.get("timeout", 60.0)
+    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
     rows = []
     for m in range(m_lo, m_hi + 1):
         for n in range(n_lo, n_hi + 1):
             t0 = time.perf_counter()
             r = star_path_coloring(m, n)
             expected = 2 * m if n in (3, 4) else m * ceil_div(n - 2, 2)
-            ok = (
-                is_proper(r.graph, r.coloring)
-                and r.coloring.colors_used == expected
-                and is_clique(r.graph, r.clique)
-                and len(r.clique) == expected
-            )
-            rows.append(_report("star-path", {"m": m, "n": n}, expected,
-                                f"colors={r.coloring.colors_used} clique={len(r.clique)}",
-                                ok, t0))
+            rows.append(_construction_row("star-path", {"m": m, "n": n}, expected, r, t0))
     for m, n in ((3, 3), (3, 4)):
         t0 = time.perf_counter()
         product, _ = cartesian_product([generate(star_spec(m)), path_graph(n)])
@@ -304,15 +299,7 @@ def check_path_path(opts: dict) -> list[TheoremReport]:
         t0 = time.perf_counter()
         r = path_path_coloring(n, k)
         expected = ceil_div((n - 2) * (k - 2), 2)
-        ok = (
-            is_proper(r.graph, r.coloring)
-            and r.coloring.colors_used == expected
-            and is_clique(r.graph, r.clique)
-            and len(r.clique) == expected
-        )
-        rows.append(_report("path-path", {"n": n, "k": k}, expected,
-                            f"colors={r.coloring.colors_used} clique={len(r.clique)}",
-                            ok, t0))
+        rows.append(_construction_row("path-path", {"n": n, "k": k}, expected, r, t0))
     return rows
 
 
@@ -332,7 +319,7 @@ def check_lemma_ceiling(opts: dict) -> list[TheoremReport]:
 def check_ng(opts: dict) -> list[TheoremReport]:
     trials = opts.get("trials", 100)
     seed = opts.get("seed", DEFAULT_SEED)
-    timeout = opts.get("timeout", 60.0)
+    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
     rows = []
     for i, g in enumerate(seeded_graphs(trials, 4, 9, seed, connected=True)):
         t0 = time.perf_counter()
@@ -353,7 +340,7 @@ def check_ng(opts: dict) -> list[TheoremReport]:
 def check_sabidussi(opts: dict) -> list[TheoremReport]:
     trials = opts.get("trials", 30)
     seed = opts.get("seed", DEFAULT_SEED)
-    timeout = opts.get("timeout", 60.0)
+    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
     rows = []
     for i, (g, h) in enumerate(seeded_graph_tuples(trials, 2, 2, 6, seed)):
         t0 = time.perf_counter()
@@ -375,7 +362,7 @@ def check_sabidussi(opts: dict) -> list[TheoremReport]:
 def check_oracle(opts: dict) -> list[TheoremReport]:
     trials = opts.get("trials", 100)
     seed = opts.get("seed", DEFAULT_SEED)
-    timeout = opts.get("timeout", 60.0)
+    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
     rows = []
     for i, g in enumerate(seeded_graphs(trials, 1, 9, seed)):
         t0 = time.perf_counter()
@@ -405,7 +392,7 @@ def degree_diff_universe(max_product: int = 30) -> list[FamilySpec]:
 
 def check_degree_diff(opts: dict) -> list[TheoremReport]:
     max_product = opts.get("max", 30)
-    timeout = opts.get("timeout", 60.0)
+    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
     rows = []
     universe = [(spec, generate(spec)) for spec in degree_diff_universe(max_product)]
     chi_d_cache: dict[str, ChromaticResult] = {}

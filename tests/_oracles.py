@@ -75,6 +75,45 @@ def naive_extra_edges(factors: list[Graph]) -> list[tuple[int, int]]:
     return out
 
 
+def reference_atom(kind: str, *params: int) -> Graph:
+    """The named atoms built from edge lists, with the canonical labels:
+    hub 0, then pendants, rim or blades from 1."""
+    if kind == "path":
+        (n,) = params
+        return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    if kind == "cycle":
+        (n,) = params
+        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    if kind == "complete":
+        (n,) = params
+        return Graph(n, list(combinations(range(n), 2)))
+    if kind == "empty":
+        (n,) = params
+        return Graph(n)
+    if kind == "star":
+        (m,) = params
+        return Graph(m + 1, [(0, i) for i in range(1, m + 1)])
+    if kind == "wheel":
+        (n,) = params
+        rim = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
+        return Graph(n + 1, rim + [(0, i) for i in range(1, n + 1)])
+    if kind == "windmill":
+        m, n = params
+        spokes = [(0, v) for v in range(1, m * n + 1)]
+        blades = [(1 + b * n + i, 1 + b * n + j)
+                  for b in range(m) for i, j in combinations(range(n), 2)]
+        return Graph(1 + m * n, spokes + blades)
+    raise ValueError(kind)
+
+
+def reference_induced_subgraph(g: Graph, vertices) -> Graph:
+    """The induced subgraph from the kept edges, remapped through a dict."""
+    vs = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(vs)}
+    edges = [(pos[u], pos[w]) for u in vs for w in g.neighbors(u) if u < w and w in pos]
+    return Graph(len(vs), edges)
+
+
 def reference_to_json(g: Graph) -> str:
     """The JSON writer as one json.dumps over a list of edge lists."""
     payload = {"n": g.n, "edges": [list(e) for e in g.edges()]}

@@ -115,7 +115,7 @@ def test_criterion_02_cycle_and_wheel_formulas():
 def _union_identity_failures(factors, label):
     dec = delta_of_product(factors)
     left = set(dec.delta_of_product.edges())
-    union = set(dec.product_of_deltas.edges()) | set(dec.extra_edges)
+    union = set(dec.product_of_deltas.edges()) | set(dec.extra.edges())
     if left != union:
         return [f"{label}: edge sets differ by {len(left ^ union)} edges"]
     return []
@@ -138,7 +138,7 @@ def test_criterion_04_equality_characterization():
         20, 3, 1, 4, DEFAULT_SEED + 1
     )
     for i, factors in enumerate(corpora):
-        s_empty = not delta_of_product(factors).extra_edges
+        s_empty = not delta_of_product(factors).extra.edges()
         if equality_holds(factors) != s_empty:
             failures.append(f"instance {i}: equality_holds != (S empty)")
     if not equality_holds([complete_graph(1), cycle_graph(9)]):

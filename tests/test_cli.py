@@ -1,9 +1,16 @@
 import json
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from deltachrom import extra_edge_set, generate, parse_spec
+import deltachrom.cli as cli
+from deltachrom import Coloring, extra_edge_set, generate, parse_spec
 from deltachrom.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -148,6 +155,17 @@ class TestConstruct:
         assert code == 0
         assert "[color=" in out
 
+    def test_failed_certificate_exits_one(self, capsys, monkeypatch):
+        original = cli.star_star_coloring
+
+        def broken(m, n):
+            r = original(m, n)
+            return replace(r, coloring=Coloring((0,) * r.graph.n, 1))
+
+        monkeypatch.setattr(cli, "star_star_coloring", broken)
+        code, out = run(capsys, "construct", "star-star", "3", "3", "--check")
+        assert code == 1 and json.loads(out)["check"] == "fail"
+
     def test_hypothesis_violation_is_usage_error(self, capsys):
         code, _ = run(capsys, "construct", "degree-diff", "P4", "P4")
         assert code == 2
@@ -242,3 +260,18 @@ class TestUsage:
 
     def test_unknown_flag_rejected(self, capsys):
         assert main(["export", "P3", "--frobnicate"]) == 2
+
+
+class TestClosedPipe:
+    def test_reader_closing_stdout_exits_141_quietly(self):
+        # verify all writes about 150 KB, more than the pipe holds, so the
+        # program is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "deltachrom.cli", "verify", "all"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=SRC,
+        )
+        assert proc.stdout.readline().startswith(b"PASS ")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141
+        assert stderr == b""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from deltachrom import (
@@ -53,6 +55,18 @@ class TestDegreeDiffProductColoring:
         product, _ = cartesian_product([g, h])
         assert is_proper(delta_complement(product), coloring)
         assert coloring.colors_used <= 3 * max(2, 2)
+
+    def test_columns_follow_ascending_degree_classes(self):
+        # S1,3: the pendants 1, 2, 3 (degree 1) are columns 0..2, the hub column 3
+        g = path_graph(4)
+        c0 = dsatur_upper(delta_complement(g))
+        h = star_graph(3)
+        coloring = degree_diff_product_coloring(g, c0, h)
+        ranks = {c: r + 1 for r, c in enumerate(sorted(set(c0.colors)))}
+        grid = cyclic_block_grid([ranks[c] for c in c0.colors], [3, 1], max(c0.colors_used, 2))
+        for vg in range(g.n):
+            for column, vh in enumerate([1, 2, 3, 0]):
+                assert coloring.colors[vg * h.n + vh] == grid[vg][column] - 1
 
     def test_cycle_with_p3(self):
         g = cycle_graph(5)
@@ -115,6 +129,38 @@ class TestJoinP3Coloring:
         ch = Coloring((0, 0, 0), 1)
         with pytest.raises(ValueError, match="2 colors"):
             join_p3_coloring(h, ch)
+
+
+class TestCertified:
+    @pytest.mark.parametrize("build,args", [
+        (star_star_coloring, (4, 3)),
+        (star_path_coloring, (3, 4)),
+        (star_path_coloring, (4, 7)),
+        (path_path_coloring, (6, 7)),
+    ])
+    def test_constructions_certify(self, build, args):
+        assert build(*args).certified()
+
+    def test_improper_coloring_fails(self):
+        r = star_star_coloring(3, 3)
+        colors = (r.coloring.colors[r.clique[1]],) + r.coloring.colors[1:]
+        broken = replace(r, coloring=Coloring(colors, r.coloring.palette_size))
+        assert not is_proper(broken.graph, broken.coloring)
+        assert not broken.certified()
+
+    def test_non_clique_fails(self):
+        r = path_path_coloring(6, 6)
+        corner = 0  # degree 2, adjacent to no interior vertex in the delta
+        assert not r.graph.has_edge(corner, r.clique[0])
+        assert not replace(r, clique=(corner,) + r.clique[1:]).certified()
+
+    def test_clique_smaller_than_palette_fails(self):
+        r = star_star_coloring(3, 3)
+        assert not replace(r, clique=r.clique[:-1]).certified()
+
+    def test_empty_clique_certifies_properness_alone(self):
+        r = star_star_coloring(3, 3)
+        assert replace(r, clique=()).certified()
 
 
 class TestStarStar:

@@ -24,7 +24,12 @@ from deltachrom.families import (
 
 from deltachrom import Graph
 
-from _oracles import brute_isomorphic, naive_disjoint_union_edges, naive_join_edges
+from _oracles import (
+    brute_isomorphic,
+    naive_disjoint_union_edges,
+    naive_join_edges,
+    reference_atom,
+)
 from strategies import family_specs, graphs
 
 
@@ -78,6 +83,41 @@ class TestGenerate:
                 g = windmill_graph(m, n)
                 assert g.n == 1 + m * n
                 assert g.edge_count() == m * n + m * n * (n - 1) // 2
+
+
+ATOM_RANGES = [
+    ("path", range(1, 41)),
+    ("cycle", range(3, 41)),
+    ("complete", range(1, 41)),
+    ("empty", range(0, 11)),
+    ("star", range(1, 41)),
+    ("wheel", range(3, 41)),
+]
+
+
+class TestAtomsMatchEdgeListReference:
+    """The mask-row generators against edge lists with the canonical labels."""
+
+    @pytest.mark.parametrize("kind,sizes", ATOM_RANGES, ids=[k for k, _ in ATOM_RANGES])
+    def test_atom_rows(self, kind, sizes):
+        for n in sizes:
+            g = generate(FamilySpec(kind, (n,)))
+            ref = reference_atom(kind, n)
+            assert [g.adjacency_mask(v) for v in range(g.n)] == [
+                ref.adjacency_mask(v) for v in range(ref.n)
+            ], f"{kind} {n}"
+
+    def test_windmill_rows(self):
+        for m, n in [(1, 1), (1, 4), (2, 1), (2, 3), (3, 3), (4, 2), (5, 5)]:
+            assert windmill_graph(m, n) == reference_atom("windmill", m, n)
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [("empty", (-1,)), ("windmill", (0, 3)), ("windmill", (3, 0)), ("cycle", (-4,))],
+    )
+    def test_more_invalid_parameters(self, kind, params):
+        with pytest.raises(ValueError):
+            generate(FamilySpec(kind, params))
 
 
 class TestJoin:

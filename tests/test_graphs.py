@@ -10,7 +10,7 @@ from deltachrom import (
     SizeLimitError,
     cartesian_product,
     complement,
-    degree_partition,
+    degree_masks,
     delta_complement,
     from_json,
     induced_subgraph,
@@ -18,6 +18,7 @@ from deltachrom import (
     to_dot,
     to_json,
 )
+from deltachrom.graphs import iter_bits
 from deltachrom.families import (
     complete_graph,
     cycle_graph,
@@ -30,6 +31,7 @@ from _oracles import (
     brute_isomorphic,
     naive_delta_edges,
     naive_product_edges,
+    reference_induced_subgraph,
     reference_to_dot,
     reference_to_json,
 )
@@ -76,32 +78,35 @@ class TestDegree:
             path_graph(3).degree(3)
 
 
+def classes(g):
+    """The degree classes as sorted (degree, members) pairs."""
+    return sorted((d, tuple(iter_bits(mask))) for d, mask in degree_masks(g).items())
+
+
 class TestDegreePartition:
+    """The vertices grouped by degree, one mask per degree."""
+
     def test_star(self):
-        part = degree_partition(star_graph(3))
-        assert part.classes == ((1, (1, 2, 3)), (3, (0,)))
-        assert part.m == 2 and part.n_max == 3
+        assert classes(star_graph(3)) == [(1, (1, 2, 3)), (3, (0,))]
 
     def test_path5(self):
-        part = degree_partition(path_graph(5))
-        assert part.classes == ((1, (0, 4)), (2, (1, 2, 3)))
-        assert part.m == 2 and part.n_max == 3
+        assert classes(path_graph(5)) == [(1, (0, 4)), (2, (1, 2, 3))]
 
     def test_complete(self):
-        part = degree_partition(complete_graph(4))
-        assert part.m == 1 and part.n_max == 4
+        assert degree_masks(complete_graph(4)) == {3: 0b1111}
 
     def test_empty_graph(self):
-        part = degree_partition(Graph(0))
-        assert part.classes == () and part.m == 0 and part.n_max == 0
+        assert degree_masks(Graph(0)) == {}
 
     @given(graphs())
     def test_partition_covers_all_vertices(self, g):
-        part = degree_partition(g)
-        seen = [v for _, vs in part.classes for v in vs]
-        assert sorted(seen) == list(range(g.n))
-        degs = [d for d, _ in part.classes]
-        assert degs == sorted(set(degs))
+        masks = degree_masks(g)
+        union = 0
+        for d, mask in masks.items():
+            assert mask and not union & mask  # non-empty and disjoint
+            union |= mask
+            assert all(g.degree(v) == d for v in iter_bits(mask))
+        assert union == (1 << g.n) - 1
 
 
 class TestComplement:
@@ -138,12 +143,11 @@ class TestDeltaComplement:
         # within one degree class: complement of the induced subgraph;
         # across classes: exactly the original edges
         d = delta_complement(g)
-        part = degree_partition(g)
-        for _, vs in part.classes:
+        for _, vs in classes(g):
             sub_delta = induced_subgraph(d, vs)
             sub_comp = complement(induced_subgraph(g, vs))
             assert sub_delta == sub_comp
-        class_of = {v: i for i, (_, vs) in enumerate(part.classes) for v in vs}
+        class_of = {v: i for i, (_, vs) in enumerate(classes(g)) for v in vs}
         cross_delta = {
             (u, v) for u, v in d.edges() if class_of[u] != class_of[v]
         }
@@ -222,6 +226,27 @@ class TestInducedSubgraph:
         g = path_graph(5)
         sub = induced_subgraph(g, [1, 2, 4])
         assert sub.edges() == [(0, 1)]
+
+    @pytest.mark.parametrize("bad", [-1, 5, 70])
+    def test_out_of_range_vertex_rejected(self, bad):
+        with pytest.raises(ValueError):
+            induced_subgraph(cycle_graph(5), [0, bad])
+
+    @given(wide_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, g, data):
+        vertex = st.integers(min_value=0, max_value=max(g.n - 1, 0))
+        vs = data.draw(st.lists(vertex, max_size=2 * g.n) if g.n else st.just([]))
+        assert induced_subgraph(g, vs) == reference_induced_subgraph(g, vs)
+        assert induced_subgraph(g, []) == Graph(0)
+        assert induced_subgraph(g, range(g.n)) == g
+        assert induced_subgraph(g, vs + vs) == induced_subgraph(g, vs)
+
+    def test_dense_product_delta(self):
+        product, _ = cartesian_product([path_graph(20), path_graph(20)])
+        d = delta_complement(product)
+        for vs in (range(0, 400, 2), range(37, 400, 3)):
+            assert induced_subgraph(d, vs) == reference_induced_subgraph(d, vs)
 
 
 class TestProductIndex:

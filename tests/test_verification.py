@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from deltachrom.verification import (
@@ -83,3 +85,28 @@ class TestRegistry:
         assert len(solver_rows) == 2
         assert all("stated form" in r.expected for r in solver_rows)
         assert all(r.status == "pass" for r in solver_rows)
+
+    @pytest.mark.parametrize("check_id,build,opts", [
+        ("star-star", "star_star_coloring", {"m": (3, 3), "n": (3, 3)}),
+        ("star-path", "star_path_coloring", {"m": (3, 3), "n": (5, 5)}),
+        ("path-path", "path_path_coloring", {"n": (6, 6), "k": (6, 6)}),
+    ])
+    @pytest.mark.parametrize("breaking", [
+        lambda clique: clique[:-1],
+        lambda clique: (0,) + clique[1:],  # vertex 0 sees no clique vertex
+    ], ids=["short", "not-a-clique"])
+    def test_construction_rows_fail_without_a_certificate(
+        self, monkeypatch, check_id, build, opts, breaking
+    ):
+        import deltachrom.verification as verification
+
+        original = getattr(verification, build)
+
+        def broken(*args):
+            r = original(*args)
+            return replace(r, clique=breaking(r.clique))
+
+        monkeypatch.setattr(verification, build, broken)
+        row = run_check(check_id, opts)[0]
+        assert row.status == "fail"
+        assert row.computed.startswith("colors=") and " clique=" in row.computed
