@@ -435,6 +435,6 @@ def _oracle_colorable(nbrs: list[tuple[int, ...]], k: int) -> bool:
     return True
 
 
-def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT, **kwargs) -> ChromaticResult:
+def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
     """Chromatic number of the delta-complement of g."""
-    return chromatic_number(delta_complement(g), timeout=timeout, **kwargs)
+    return chromatic_number(delta_complement(g), timeout=timeout)

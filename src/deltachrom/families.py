@@ -20,11 +20,12 @@ The term grammar understood by :func:`parse_spec` (and printed back by
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, cartesian_product
+from .graphs import MAX_PRODUCT_VERTICES, Graph, SizeLimitError, cartesian_product
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,15 @@ def generate(spec: FamilySpec) -> Graph:
     """Build the graph denoted by a family term, with canonical labels.
 
     Deterministic: identical terms yield identical (not merely
-    isomorphic) graphs.
+    isomorphic) graphs. A term of more than MAX_PRODUCT_VERTICES
+    vertices raises SizeLimitError before anything is built.
     """
     kind = spec.kind
+    size = _vertex_count(spec)
+    if size > MAX_PRODUCT_VERTICES:
+        raise SizeLimitError(
+            f"{kind} has {size} vertices, over the {MAX_PRODUCT_VERTICES} budget"
+        )
     if kind in _ATOMS:
         (n,) = spec.params
         least, needs, build = _ATOMS[kind]
@@ -93,6 +100,20 @@ def generate(spec: FamilySpec) -> Graph:
         product, _ = cartesian_product([generate(c) for c in spec.children])
         return product
     raise ValueError(f"unknown family kind {kind!r}")
+
+
+def _vertex_count(spec: FamilySpec) -> int:
+    """The number of vertices of the graph a term denotes, without building it."""
+    if spec.kind in ("star", "wheel"):
+        return spec.params[0] + 1
+    if spec.kind == "windmill":
+        m, n = spec.params
+        return 1 + m * n
+    if spec.kind == "join":
+        return sum(map(_vertex_count, spec.children))
+    if spec.kind == "product":
+        return math.prod(map(_vertex_count, spec.children))
+    return spec.params[0]
 
 
 def _path_rows(n: int) -> list[int]:

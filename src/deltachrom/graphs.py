@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 MAX_PRODUCT_VERTICES = 10_000
@@ -296,7 +296,22 @@ def from_json(text: str) -> Graph:
     data = json.loads(text)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'")
-    return Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+    n, edges = data["n"], data["edges"]
+    # bool is a subclass of int, and neither it nor a float is a vertex id
+    if type(n) is not int or n < 0:
+        raise ValueError(f"graph JSON 'n' must be a non-negative integer, got {n!r}")
+    if n > MAX_PRODUCT_VERTICES:
+        raise SizeLimitError(f"graph has {n} vertices, over the {MAX_PRODUCT_VERTICES} budget")
+    # set(map(...)) keeps the per-edge loops in C: a list of lists of two
+    # ints has one element type, one length and one vertex type
+    if (
+        type(edges) is not list
+        or not set(map(type, edges)) <= {list}
+        or not set(map(len, edges)) <= {2}
+        or not set(map(type, chain.from_iterable(edges))) <= {int}
+    ):
+        raise ValueError("graph JSON 'edges' must be a list of [u, v] integer pairs")
+    return Graph(n, edges)
 
 
 def to_dot(

@@ -1,8 +1,11 @@
 """Seeded verification harness: every closed form and bound as table rows.
 
-Each check turns one theorem-shaped claim into a list of per-instance
-reports. Randomized corpora are fully determined by the seed, so any
-run can be reproduced from its command line.
+Each check turns one theorem-shaped claim into per-instance report rows,
+which it yields; ``run_check`` stamps each row with its check id and its
+time. Every closed-form value comes from ``bounds.formula_chi_delta``, so
+the rows check the same table that ``chi-delta`` prints. Randomized
+corpora are fully determined by the seed, so any run can be reproduced
+from its command line.
 """
 
 from __future__ import annotations
@@ -10,10 +13,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, Sequence
 
 from .bounds import (
-    ceil_div,
     formula_chi_delta,
     lemma_ceiling_check,
     ng_bounds_check,
@@ -34,17 +37,14 @@ from .constructions import (
 )
 from .families import (
     FamilySpec,
-    cycle_graph,
     cycle_spec,
     format_spec,
     generate,
     parse_spec,
-    path_graph,
     path_spec,
     product_spec,
     random_graph,
     star_spec,
-    wheel_graph,
     wheel_spec,
 )
 from .graphs import Graph, cartesian_product, is_connected
@@ -66,15 +66,16 @@ class TheoremReport:
     inexact: bool = False  # a solve hit its deadline; the row is a skip
 
 
-def _report(check_id, params, expected, computed, ok, t0, skip=False) -> TheoremReport:
+Rows = Iterator[TheoremReport]
+
+
+def _report(params, expected, computed, ok, skip=False) -> TheoremReport:
+    # run_check fills in the check id and the seconds
     status = "skip" if skip else ("pass" if ok else "fail")
-    return TheoremReport(
-        check_id, params, str(expected), str(computed), status,
-        time.perf_counter() - t0,
-    )
+    return TheoremReport("", params, str(expected), str(computed), status)
 
 
-def _cut_short(check_id, params, expected, t0, *results: ChromaticResult) -> TheoremReport | None:
+def _cut_short(params, expected, *results: ChromaticResult) -> TheoremReport | None:
     """A skip row for the first solve that hit its deadline, else None.
 
     A bracket from a solve that was cut short disproves nothing, so the
@@ -82,18 +83,14 @@ def _cut_short(check_id, params, expected, t0, *results: ChromaticResult) -> The
     """
     for res in results:
         if not res.exact:
-            return TheoremReport(
-                check_id, params, str(expected), f"inexact [{res.lower},{res.upper}]",
-                "skip", time.perf_counter() - t0, inexact=True,
-            )
+            return TheoremReport("", params, str(expected), f"inexact [{res.lower},{res.upper}]",
+                                 "skip", inexact=True)
     return None
 
 
-def _construction_row(check_id, params, expected, r: ConstructionResult, t0) -> TheoremReport:
-    """A certified construction whose colors and clique both number ``expected``."""
-    ok = r.certified() and r.coloring.colors_used == expected == len(r.clique)
-    return _report(check_id, params, expected,
-                   f"colors={r.coloring.colors_used} clique={len(r.clique)}", ok, t0)
+def _span(opts: dict, key: str, default: tuple[int, int]) -> range:
+    lo, hi = opts.get(key, default)
+    return range(lo, hi + 1)
 
 
 # --- seeded corpora ----------------------------------------------------------
@@ -133,38 +130,52 @@ def seeded_graph_tuples(
 # --- individual checks -------------------------------------------------------
 
 
-def _formula_rows(check_id, spec_of, graph_of, n_range, not_covered, opts) -> list[TheoremReport]:
-    """The closed form against the solver for each n; a skip where the
-    closed form declines n, with the true solver value still shown."""
-    lo, hi = opts.get("n", n_range)
-    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
-    rows = []
-    for n in range(lo, hi + 1):
-        t0 = time.perf_counter()
-        fv = formula_chi_delta(spec_of(n))
-        res = chi_delta(graph_of(n), timeout=timeout)
-        expected = not_covered if fv is None else fv.value
-        rows.append(
-            _cut_short(check_id, {"n": n}, expected, t0, res)
-            or _report(check_id, {"n": n}, expected, res.chi,
-                       fv is None or res.chi == fv.value, t0, skip=fv is None)
-        )
-    return rows
+def _solver_row(params, spec, not_covered, opts, show=attrgetter("chi"),
+                expect=attrgetter("value")) -> TheoremReport:
+    """The table's value for spec against the solver; a skip where the
+    table declines spec, with the true solver value still shown."""
+    fv = formula_chi_delta(spec)
+    res = chi_delta(generate(spec), timeout=opts.get("timeout", DEFAULT_TIMEOUT))
+    expected = not_covered if fv is None else expect(fv)
+    return (_cut_short(params, expected, res)
+            or _report(params, expected, show(res),
+                       fv is None or res.chi == fv.value, skip=fv is None))
 
 
-def check_path_formula(opts: dict) -> list[TheoremReport]:
-    return _formula_rows("path-formula", path_spec, path_graph, (5, 14),
-                         "formula n/a (n < 5)", opts)
+def _formula_rows(spec_of, n_range, not_covered, opts, show=attrgetter("chi")) -> Rows:
+    for n in _span(opts, "n", n_range):
+        yield _solver_row({"n": n}, spec_of(n), not_covered, opts, show)
 
 
-def check_cycle_formula(opts: dict) -> list[TheoremReport]:
-    return _formula_rows("cycle-formula", cycle_spec, cycle_graph, (3, 14),
-                         "formula n/a (regular one-class graph)", opts)
+def check_path_formula(opts: dict) -> Rows:
+    return _formula_rows(path_spec, (5, 14), "formula n/a (n < 5)", opts)
 
 
-def check_wheel_formula(opts: dict) -> list[TheoremReport]:
-    return _formula_rows("wheel-formula", wheel_spec, wheel_graph, (3, 10),
-                         "formula n/a (W3 is complete)", opts)
+def check_cycle_formula(opts: dict) -> Rows:
+    return _formula_rows(cycle_spec, (3, 14), "formula n/a (regular one-class graph)", opts)
+
+
+def check_wheel_formula(opts: dict) -> Rows:
+    return _formula_rows(wheel_spec, (3, 10), "formula n/a (W3 is complete)", opts)
+
+
+def check_cycle_p3(opts: dict) -> Rows:
+    return _formula_rows(lambda n: product_spec(cycle_spec(n), path_spec(3)), (5, 8),
+                         "formula n/a (n < 5)", opts,
+                         show=lambda res: f"chi={res.chi} omega={res.clique_lower}")
+
+
+def _construction_row(params, spec, not_covered, build, *args) -> TheoremReport:
+    """A certified construction whose colors and clique both number the
+    table's value for spec; a skip, without building, where the table
+    declines spec."""
+    fv = formula_chi_delta(spec)
+    if fv is None:
+        return _report(params, not_covered, "construction not run", True, skip=True)
+    r: ConstructionResult = build(*args)
+    ok = r.certified() and r.coloring.colors_used == fv.value == len(r.clique)
+    return _report(params, fv.value,
+                   f"colors={r.coloring.colors_used} clique={len(r.clique)}", ok)
 
 
 def _edge_union_identity(factors: Sequence[Graph]) -> tuple[bool, str]:
@@ -180,200 +191,119 @@ def _edge_union_identity(factors: Sequence[Graph]) -> tuple[bool, str]:
     return union_ok and disjoint_ok and eq_ok, detail
 
 
-def check_structure(opts: dict) -> list[TheoremReport]:
+def check_structure(opts: dict) -> Rows:
     trials = opts.get("trials", 50)
     seed = opts.get("seed", DEFAULT_SEED)
-    rows = []
     for i, pair in enumerate(seeded_graph_tuples(trials, 2, 2, 6, seed)):
-        t0 = time.perf_counter()
         ok, detail = _edge_union_identity(pair)
-        rows.append(_report("structure", {"trial": i, "sizes": [g.n for g in pair]},
-                            "union identity + disjointness", detail, ok, t0))
+        yield _report({"trial": i, "sizes": [g.n for g in pair]},
+                      "union identity + disjointness", detail, ok)
     triple_trials = opts.get("triples", max(1, trials * 2 // 5))
     for i, triple in enumerate(seeded_graph_tuples(triple_trials, 3, 1, 4, seed + 1)):
-        t0 = time.perf_counter()
         ok, detail = _edge_union_identity(triple)
-        rows.append(_report("structure", {"triple": i, "sizes": [g.n for g in triple]},
-                            "3-factor union identity", detail, ok, t0))
-    return rows
+        yield _report({"triple": i, "sizes": [g.n for g in triple]},
+                      "3-factor union identity", detail, ok)
 
 
-def check_equality(opts: dict) -> list[TheoremReport]:
+def check_equality(opts: dict) -> Rows:
     trials = opts.get("trials", 50)
     seed = opts.get("seed", DEFAULT_SEED)
-    rows = []
     for i, pair in enumerate(seeded_graph_tuples(trials, 2, 2, 6, seed)):
-        t0 = time.perf_counter()
         s_empty = delta_of_product(pair).extra.edge_count() == 0
-        ok = equality_holds(pair) == s_empty
-        rows.append(_report("equality", {"trial": i}, "equality_holds iff S empty",
-                            f"holds={equality_holds(pair)} S_empty={s_empty}", ok, t0))
-    t0 = time.perf_counter()
-    k1_h = [generate(parse_spec("K1")), generate(parse_spec("C9"))]
-    rows.append(_report("equality", {"family": "[K1,C9]"}, True,
-                        equality_holds(k1_h), equality_holds(k1_h) is True, t0))
-    t0 = time.perf_counter()
-    p2p2 = [path_graph(2), path_graph(2)]
-    rows.append(_report("equality", {"family": "[P2,P2]"}, False,
-                        equality_holds(p2p2), equality_holds(p2p2) is False, t0))
-    return rows
+        holds = equality_holds(pair)
+        yield _report({"trial": i}, "equality_holds iff S empty",
+                      f"holds={holds} S_empty={s_empty}", holds == s_empty)
+    holds = equality_holds([generate(parse_spec("K1")), generate(parse_spec("C9"))])
+    yield _report({"family": "[K1,C9]"}, True, holds, holds is True)
+    holds = equality_holds([generate(path_spec(2)), generate(path_spec(2))])
+    yield _report({"family": "[P2,P2]"}, False, holds, holds is False)
 
 
-def check_cycle_p3(opts: dict) -> list[TheoremReport]:
-    lo, hi = opts.get("n", (5, 8))
-    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
-    rows = []
-    for n in range(lo, hi + 1):
-        t0 = time.perf_counter()
-        product, _ = cartesian_product([cycle_graph(n), path_graph(3)])
-        res = chi_delta(product, timeout=timeout)
-        expected = 2 * ceil_div(n, 2)
-        rows.append(
-            _cut_short("cycle-p3", {"n": n}, expected, t0, res)
-            or _report("cycle-p3", {"n": n}, expected,
-                       f"chi={res.chi} omega={res.clique_lower}", res.chi == expected, t0)
-        )
-    return rows
+def check_star_star(opts: dict) -> Rows:
+    for m in _span(opts, "m", (3, 5)):
+        for n in _span(opts, "n", (3, 5)):
+            yield _construction_row({"m": m, "n": n}, product_spec(star_spec(m), star_spec(n)),
+                                    "formula n/a (m < 3 or n < 3)", star_star_coloring, m, n)
+    yield _solver_row({"solver": "(3,3)"}, product_spec(star_spec(3), star_spec(3)),
+                      "formula n/a", opts)
 
 
-def check_star_star(opts: dict) -> list[TheoremReport]:
-    m_lo, m_hi = opts.get("m", (3, 5))
-    n_lo, n_hi = opts.get("n", (3, 5))
-    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
-    rows = []
-    for m in range(m_lo, m_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            t0 = time.perf_counter()
-            r = star_star_coloring(m, n)
-            rows.append(_construction_row("star-star", {"m": m, "n": n}, m * n, r, t0))
-    t0 = time.perf_counter()
-    product, _ = cartesian_product([generate(star_spec(3)), generate(star_spec(3))])
-    res = chi_delta(product, timeout=timeout)
-    rows.append(
-        _cut_short("star-star", {"solver": "(3,3)"}, 9, t0, res)
-        or _report("star-star", {"solver": "(3,3)"}, 9, res.chi, res.chi == 9, t0)
-    )
-    return rows
-
-
-def check_star_path(opts: dict) -> list[TheoremReport]:
-    m_lo, m_hi = opts.get("m", (3, 4))
-    n_lo, n_hi = opts.get("n", (3, 8))
-    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
-    rows = []
-    for m in range(m_lo, m_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            t0 = time.perf_counter()
-            r = star_path_coloring(m, n)
-            expected = 2 * m if n in (3, 4) else m * ceil_div(n - 2, 2)
-            rows.append(_construction_row("star-path", {"m": m, "n": n}, expected, r, t0))
+def check_star_path(opts: dict) -> Rows:
+    for m in _span(opts, "m", (3, 4)):
+        for n in _span(opts, "n", (3, 8)):
+            yield _construction_row({"m": m, "n": n}, product_spec(star_spec(m), path_spec(n)),
+                                    "formula n/a (m < 3 or n < 3)", star_path_coloring, m, n)
     for m, n in ((3, 3), (3, 4)):
-        t0 = time.perf_counter()
-        product, _ = cartesian_product([generate(star_spec(m)), path_graph(n)])
-        res = chi_delta(product, timeout=timeout)
-        fv = formula_chi_delta(product_spec(star_spec(m), path_spec(n)))
-        assert fv is not None
-        expected = f"constructive {fv.proof_value} (stated form {fv.statement_value})"
-        rows.append(
-            _cut_short("star-path", {"solver": (m, n)}, expected, t0, res)
-            or _report("star-path", {"solver": (m, n)}, expected, f"solver {res.chi}",
-                       res.chi == fv.value == 2 * m, t0)
+        yield _solver_row(
+            {"solver": (m, n)}, product_spec(star_spec(m), path_spec(n)), "formula n/a", opts,
+            show=lambda res: f"solver {res.chi}",
+            expect=lambda fv: f"constructive {fv.proof_value} (stated form {fv.statement_value})",
         )
-    return rows
 
 
-def check_path_path(opts: dict) -> list[TheoremReport]:
+def check_path_path(opts: dict) -> Rows:
     if "n" in opts or "k" in opts:
-        n_lo, n_hi = opts.get("n", (6, 7))
-        k_lo, k_hi = opts.get("k", (6, 9))
-        pairs = [
-            (n, k)
-            for n in range(n_lo, n_hi + 1)
-            for k in range(k_lo, k_hi + 1)
-            if n <= k
-        ]
+        pairs = [(n, k) for n in _span(opts, "n", (6, 7)) for k in _span(opts, "k", (6, 9))
+                 if n <= k]
     else:
         pairs = [(6, 6), (6, 7), (6, 8), (7, 7), (7, 9)]
-    rows = []
     for n, k in pairs:
-        t0 = time.perf_counter()
-        r = path_path_coloring(n, k)
-        expected = ceil_div((n - 2) * (k - 2), 2)
-        rows.append(_construction_row("path-path", {"n": n, "k": k}, expected, r, t0))
-    return rows
+        yield _construction_row({"n": n, "k": k}, product_spec(path_spec(n), path_spec(k)),
+                                "formula n/a (n < 6)", path_path_coloring, n, k)
 
 
-def check_lemma_ceiling(opts: dict) -> list[TheoremReport]:
+def check_lemma_ceiling(opts: dict) -> Rows:
     max_nk = opts.get("max", 40)
-    rows = []
     for n in range(6, max_nk + 1):
         for k in range(max(n, 8), max_nk + 1):
-            t0 = time.perf_counter()
             chk = lemma_ceiling_check(n, k)
-            rows.append(_report("lemma-ceiling", {"n": n, "k": k},
-                                f"{chk.lhs} < {chk.rhs}", chk.detail,
-                                chk.holds, t0))
-    return rows
+            yield _report({"n": n, "k": k}, f"{chk.lhs} < {chk.rhs}", chk.detail, chk.holds)
 
 
-def check_ng(opts: dict) -> list[TheoremReport]:
+def check_ng(opts: dict) -> Rows:
     trials = opts.get("trials", 100)
     seed = opts.get("seed", DEFAULT_SEED)
     timeout = opts.get("timeout", DEFAULT_TIMEOUT)
-    rows = []
     for i, g in enumerate(seeded_graphs(trials, 4, 9, seed, connected=True)):
-        t0 = time.perf_counter()
         params = {"trial": i, "n": g.n}
         chi = chromatic_number(g, timeout=timeout)
         chi_d = chi_delta(g, timeout=timeout)
-        cut = _cut_short("ng", params, "product and sum bounds", t0, chi, chi_d)
+        cut = _cut_short(params, "product and sum bounds", chi, chi_d)
         if cut:
-            rows.append(cut)
+            yield cut
             continue
         product, total = ng_bounds_check(g, chi.chi, chi_d.chi)
-        ok = product.holds and total.holds
-        rows.append(_report("ng", params, "product and sum bounds",
-                            f"{product.detail}; {total.detail}", ok, t0))
-    return rows
+        yield _report(params, "product and sum bounds", f"{product.detail}; {total.detail}",
+                      product.holds and total.holds)
 
 
-def check_sabidussi(opts: dict) -> list[TheoremReport]:
+def check_sabidussi(opts: dict) -> Rows:
     trials = opts.get("trials", 30)
     seed = opts.get("seed", DEFAULT_SEED)
     timeout = opts.get("timeout", DEFAULT_TIMEOUT)
-    rows = []
     for i, (g, h) in enumerate(seeded_graph_tuples(trials, 2, 2, 6, seed)):
-        t0 = time.perf_counter()
         params = {"trial": i, "sizes": [g.n, h.n]}
         product, _ = cartesian_product([g, h])
         chi_prod = chromatic_number(product, timeout=timeout)
         chi_g = chromatic_number(g, timeout=timeout)
         chi_h = chromatic_number(h, timeout=timeout)
-        cut = _cut_short("sabidussi", params, "max of the factors", t0, chi_prod, chi_g, chi_h)
+        cut = _cut_short(params, "max of the factors", chi_prod, chi_g, chi_h)
         if cut:
-            rows.append(cut)
+            yield cut
             continue
         expected = max(chi_g.chi, chi_h.chi)
-        rows.append(_report("sabidussi", params, expected, chi_prod.chi,
-                            chi_prod.chi == expected, t0))
-    return rows
+        yield _report(params, expected, chi_prod.chi, chi_prod.chi == expected)
 
 
-def check_oracle(opts: dict) -> list[TheoremReport]:
+def check_oracle(opts: dict) -> Rows:
     trials = opts.get("trials", 100)
     seed = opts.get("seed", DEFAULT_SEED)
     timeout = opts.get("timeout", DEFAULT_TIMEOUT)
-    rows = []
     for i, g in enumerate(seeded_graphs(trials, 1, 9, seed)):
-        t0 = time.perf_counter()
         engine = chromatic_number(g, timeout=timeout)
         brute = oracle_chromatic(g)
-        rows.append(
-            _cut_short("oracle", {"trial": i, "n": g.n}, brute, t0, engine)
-            or _report("oracle", {"trial": i, "n": g.n}, brute, engine.chi,
-                       engine.chi == brute, t0)
-        )
-    return rows
+        yield (_cut_short({"trial": i, "n": g.n}, brute, engine)
+               or _report({"trial": i, "n": g.n}, brute, engine.chi, engine.chi == brute))
 
 
 def degree_diff_universe(max_product: int = 30) -> list[FamilySpec]:
@@ -390,10 +320,9 @@ def degree_diff_universe(max_product: int = 30) -> list[FamilySpec]:
     return out
 
 
-def check_degree_diff(opts: dict) -> list[TheoremReport]:
+def check_degree_diff(opts: dict) -> Rows:
     max_product = opts.get("max", 30)
     timeout = opts.get("timeout", DEFAULT_TIMEOUT)
-    rows = []
     universe = [(spec, generate(spec)) for spec in degree_diff_universe(max_product)]
     chi_d_cache: dict[str, ChromaticResult] = {}
     product_cache: dict[frozenset, ChromaticResult] = {}
@@ -408,7 +337,6 @@ def check_degree_diff(opts: dict) -> list[TheoremReport]:
         for spec_h, h in universe:
             if g.n * h.n > max_product:
                 continue
-            t0 = time.perf_counter()
             chk = upper_degree_diff_check(g, h, 0, 0)
             if not chk.hypothesis_met:
                 continue  # not an instance of the bound
@@ -419,17 +347,15 @@ def check_degree_diff(opts: dict) -> list[TheoremReport]:
             chi_d_prod = product_cache[key]
             chi_d_g = chi_d_of(spec_g, g)
             params = {"G": format_spec(spec_g), "H": format_spec(spec_h)}
-            cut = _cut_short("degree-diff", params, "<= n_max(H)*max(chi_delta(G),m(H))",
-                             t0, chi_d_prod, chi_d_g)
+            cut = _cut_short(params, "<= n_max(H)*max(chi_delta(G),m(H))", chi_d_prod, chi_d_g)
             if cut:
-                rows.append(cut)
+                yield cut
                 continue
             chk = upper_degree_diff_check(g, h, chi_d_g.chi, chi_d_prod.chi)
-            rows.append(_report("degree-diff", params, f"<= {chk.rhs}", chk.lhs, chk.holds, t0))
-    return rows
+            yield _report(params, f"<= {chk.rhs}", chk.lhs, chk.holds)
 
 
-_CHECKS: dict[str, Callable[[dict], list[TheoremReport]]] = {
+_CHECKS: dict[str, Callable[[dict], Rows]] = {
     "path-formula": check_path_formula,
     "cycle-formula": check_cycle_formula,
     "wheel-formula": check_wheel_formula,
@@ -452,13 +378,21 @@ def check_ids() -> list[str]:
 
 
 def run_check(check_id: str, opts: dict | None = None) -> list[TheoremReport]:
-    """Run one named check (or 'all') and return its report rows."""
+    """Run one named check (or 'all') and return its report rows.
+
+    This is the one place that stamps a row with its check id and its
+    seconds: the time since the check's previous row, or since the check
+    started for its first row.
+    """
     opts = dict(opts or {})
-    if check_id == "all":
-        rows: list[TheoremReport] = []
-        for cid in _CHECKS:
-            rows.extend(_CHECKS[cid](opts))
-        return rows
-    if check_id not in _CHECKS:
+    if check_id != "all" and check_id not in _CHECKS:
         raise ValueError(f"unknown check {check_id!r}; known: {', '.join(_CHECKS)}")
-    return _CHECKS[check_id](opts)
+    rows: list[TheoremReport] = []
+    for cid in _CHECKS if check_id == "all" else [check_id]:
+        t0 = time.perf_counter()
+        for row in _CHECKS[cid](opts):
+            t1 = time.perf_counter()
+            row.check_id, row.seconds = cid, t1 - t0
+            rows.append(row)
+            t0 = t1
+    return rows

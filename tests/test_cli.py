@@ -56,6 +56,36 @@ class TestExport:
         code, _ = run(capsys, "export", "Q9")
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 2.7, "edges": []}',
+        '{"n": true, "edges": []}',
+        '{"n": -1, "edges": []}',
+        '{"n": "3", "edges": []}',
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": [[0, 1.5]]}',
+        '{"n": 3, "edges": [["0", 1]]}',
+        '{"n": 3, "edges": [null]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": [[true, 1]]}',
+        '{"n": 3, "edges": {"0": 1}}',
+    ])
+    def test_malformed_graph_file_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["export", f"@{path}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: graph JSON ")
+
+    @pytest.mark.parametrize("argv", [("export", "P200000"), ("export", "K200000", "--delta"),
+                                      ("chi-delta", "M(500,500)")])
+    def test_term_over_the_vertex_budget_is_usage_error(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "over the 10000 budget" in captured.err
+
 
 class TestChiDelta:
     def test_cycle_agreement(self, capsys):
@@ -216,6 +246,23 @@ class TestVerify:
         header, *rows = out.strip().splitlines()
         assert header == "check_id,params,expected,computed,status,seconds"
         assert all(r.startswith("lemma-ceiling,") for r in rows)
+
+    def test_cycle_p3_below_the_table_is_skipped(self, capsys):
+        code, out = run(capsys, "verify", "cycle-p3", "--n", "3..4")
+        assert code == 0
+        assert out.splitlines() == [
+            'SKIP cycle-p3 {"n":3} expected=formula n/a (n < 5) computed=chi=3 omega=3',
+            'SKIP cycle-p3 {"n":4} expected=formula n/a (n < 5) computed=chi=4 omega=4',
+            "-- 0 passed, 0 failed, 2 skipped",
+        ]
+
+    @pytest.mark.parametrize("flag,skipped", [("--n", 18), ("--m", 11)])
+    def test_widened_ranges_skip_outside_the_table(self, capsys, flag, skipped):
+        value = {"--n": "3..9", "--m": "2..4"}[flag]
+        code, out = run(capsys, "verify", "all", flag, value)
+        assert code == 0
+        assert not [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert out.splitlines()[-1].endswith(f" 0 failed, {skipped} skipped")
 
     def test_unknown_check_is_usage_error(self, capsys):
         code, _ = run(capsys, "verify", "does-not-exist")

@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltachrom import (
+    MAX_PRODUCT_VERTICES,
     FamilySpec,
+    SizeLimitError,
     disjoint_union,
     format_spec,
     generate,
@@ -58,6 +60,30 @@ class TestGenerate:
     def test_invalid_parameters(self, bad):
         with pytest.raises(ValueError):
             generate(parse_spec(bad))
+
+    @pytest.mark.parametrize("term,size", [
+        ("P10001", 10001), ("C10001", 10001), ("K10001", 10001), ("N10001", 10001),
+        ("S1,10000", 10001), ("W10000", 10001), ("M(100,100)", 10001),
+        ("J(N5000,N5001)", 10001), ("X(P101,P100)", 10100), ("J(K1,X(P100,P100))", 10001),
+    ])
+    def test_terms_over_the_vertex_budget_are_refused(self, term, size):
+        with pytest.raises(SizeLimitError, match=f"has {size} vertices, over the 10000 budget"):
+            generate(parse_spec(term))
+
+    @pytest.mark.parametrize("term", ["N10000", "J(N5000,N5000)", "S1,9999", "M(1,9999)"])
+    def test_terms_at_the_vertex_budget_are_built(self, term):
+        assert generate(parse_spec(term)).n == MAX_PRODUCT_VERTICES
+
+    def test_budget_is_checked_before_building(self, monkeypatch):
+        import deltachrom.families as families
+
+        def refuse(n):
+            raise AssertionError(f"built a path of {n} vertices")
+
+        monkeypatch.setattr(families, "_path_rows", refuse)
+        for term in ("P200000", "J(P6000,P6000)", "X(P2,P6000)"):
+            with pytest.raises(SizeLimitError):
+                generate(parse_spec(term))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

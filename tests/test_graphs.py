@@ -281,6 +281,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_json(json.dumps([1, 2, 3]))
 
+    def test_json_over_the_vertex_budget(self):
+        with pytest.raises(SizeLimitError, match="10001 vertices"):
+            from_json('{"n": 10001, "edges": []}')
+        assert from_json('{"n": 10000, "edges": [[0, 9999]]}').edge_count() == 1
+
     def test_dot_plain(self):
         assert to_dot(path_graph(3)) == "graph {\n  0 -- 1;\n  1 -- 2;\n}\n"
 

@@ -1,4 +1,6 @@
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -110,3 +112,67 @@ class TestRegistry:
         row = run_check(check_id, opts)[0]
         assert row.status == "fail"
         assert row.computed.startswith("colors=") and " clique=" in row.computed
+
+
+class TestRowsFollowTheTable:
+    def test_cycle_p3_skips_where_the_table_declines(self):
+        rows = run_check("cycle-p3", {"n": (3, 5)})
+        assert [r.status for r in rows] == ["skip", "skip", "pass"]
+        assert [r.computed for r in rows[:2]] == ["chi=3 omega=3", "chi=4 omega=4"]
+
+    @pytest.mark.parametrize("check_id,opts,skipped", [
+        ("star-star", {"m": (2, 2), "n": (2, 4)}, 3),
+        ("star-path", {"m": (1, 3), "n": (2, 2)}, 3),
+        ("path-path", {"n": (4, 5), "k": (6, 6)}, 2),
+    ])
+    def test_no_construction_outside_the_table(self, monkeypatch, check_id, opts, skipped):
+        import deltachrom.verification as verification
+
+        def refuse(*args):
+            raise AssertionError(f"construction called at {args}")
+
+        for build in ("star_star_coloring", "star_path_coloring", "path_path_coloring"):
+            monkeypatch.setattr(verification, build, refuse)
+        rows = [r for r in run_check(check_id, opts) if "solver" not in r.params]
+        assert len(rows) == skipped
+        assert all(r.status == "skip" and r.computed == "construction not run" for r in rows)
+
+    @pytest.mark.parametrize("check_id,opts", [
+        ("star-star", {"m": (3, 3), "n": (4, 4)}),
+        ("star-path", {"m": (3, 3), "n": (5, 5)}),
+        ("path-path", {"n": (6, 6), "k": (7, 7)}),
+        ("cycle-p3", {"n": (5, 5)}),
+    ])
+    def test_a_wrong_table_value_fails_the_row(self, monkeypatch, check_id, opts):
+        import deltachrom.verification as verification
+
+        original = verification.formula_chi_delta
+
+        def off_by_one(spec):
+            fv = original(spec)
+            return None if fv is None else replace(fv, value=fv.value + 1)
+
+        monkeypatch.setattr(verification, "formula_chi_delta", off_by_one)
+        assert run_check(check_id, opts)[0].status == "fail"
+
+
+class TestRowStamps:
+    def test_every_row_has_its_check_id_and_seconds(self):
+        start = time.perf_counter()
+        rows = run_check("all", {"trials": 5, "max": 12})
+        elapsed = time.perf_counter() - start
+        ids = check_ids()
+        order = [ids.index(r.check_id) for r in rows]
+        assert order == sorted(order)
+        assert set(order) == set(range(len(ids)))
+        assert all(r.seconds >= 0 for r in rows)
+        # a row's seconds run from the previous row, so they never overlap
+        assert sum(r.seconds for r in rows) <= elapsed
+
+    def test_seconds_are_the_time_since_the_previous_row(self, monkeypatch):
+        import deltachrom.verification as verification
+
+        ticks = iter(range(0, 1000, 10))
+        monkeypatch.setattr(verification, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        rows = verification.run_check("lemma-ceiling", {"max": 9})
+        assert [r.seconds for r in rows] == [10] * len(rows)
