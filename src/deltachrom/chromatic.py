@@ -7,7 +7,8 @@ by the sandwich alone; otherwise a k-colorability backtracking search
 domains, color symmetry broken by pinning a maximum clique to colors
 0..|clique|-1) decides each k from the lower bound upward. Both
 searches keep their own stack, so no interpreter setting depends on the
-graph size.
+graph size, and both read the clock at every node, so the deadline is
+the one stopping rule and a solve overruns it by at most one node's work.
 
 Everything is deterministic: ties break toward the lowest vertex id and
 colors are tried in increasing order, so the same graph always yields
@@ -16,6 +17,7 @@ the same witness.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,12 +25,11 @@ from typing import Sequence
 from .graphs import Graph, degree_masks, delta_complement, iter_bits
 
 DEFAULT_TIMEOUT = 60.0
-DEFAULT_CLIQUE_BUDGET = 10_000_000
 ORACLE_VERTEX_LIMIT = 12
 
 
 class SolverTimeout(Exception):
-    """Internal signal: the deadline or node budget was hit."""
+    """Internal signal: the deadline passed."""
 
 
 @dataclass(frozen=True)
@@ -75,19 +76,18 @@ def is_clique(g: Graph, vertices: Sequence[int]) -> bool:
 class CliqueResult:
     size: int
     vertices: tuple[int, ...]
-    complete: bool  # False when the node budget ran out before exhausting
+    complete: bool  # False when the deadline passed before the search ended
 
 
-def max_clique_lower(
-    g: Graph, budget: int = DEFAULT_CLIQUE_BUDGET, deadline: float | None = None
-) -> CliqueResult:
+def max_clique_lower(g: Graph, deadline: float = math.inf) -> CliqueResult:
     """Branch-and-bound maximum clique with greedy-coloring pruning.
 
-    With an unexhausted budget the result is the maximum clique; on
-    budget (or deadline) exhaustion the best clique found so far, or
-    vertex 0 alone when no leaf was reached, is returned with
-    ``complete=False``. The returned vertex set is
-    re-verified to be pairwise adjacent before returning.
+    The clock (``time.monotonic``) is read once per search node. When
+    the search ends before the deadline the result is the maximum
+    clique; otherwise the best clique found so far, or vertex 0 alone
+    when no leaf was reached, is returned with ``complete=False``. The
+    returned vertex set is re-verified to be pairwise adjacent before
+    returning.
     """
     n = g.n
     if n == 0:
@@ -114,7 +114,7 @@ def max_clique_lower(
             rest &= ~klass
         return order, bounds
 
-    best_size = best_mask = nodes = 0
+    best_size = best_mask = 0
     # one frame per open node: [clique mask, clique size, vertices and
     # bounds left to branch on (taken from the end), their mask]
     stack: list[list] = []
@@ -122,10 +122,7 @@ def max_clique_lower(
     complete = True
     while True:
         if cand:
-            nodes += 1
-            if nodes > budget or (
-                deadline is not None and nodes % 256 == 1 and time.monotonic() > deadline
-            ):
+            if time.monotonic() > deadline:
                 complete = False
                 break
             order, bounds = color_sort(cand)
@@ -239,11 +236,11 @@ def _k_coloring_search(
     Forward checking over per-vertex color-domain bitmasks, branching on
     the open vertex with the fewest colors left (ties to the lowest id).
     Only the first unused color may open a new color class, which prunes
-    nothing but palette permutations.
+    nothing but palette permutations. The clique, of at most k vertices,
+    is pinned to colors 0..|clique|-1. The clock is read once per step;
+    past the deadline the search raises ``SolverTimeout``.
     """
     n = g.n
-    if len(clique) > k:
-        return None
     adj = g._adj
     avail = [(1 << k) - 1] * n
     colors = [-1] * n
@@ -265,7 +262,7 @@ def _k_coloring_search(
         return touched
 
     for i, v in enumerate(clique):
-        if not avail[v] >> i & 1 or assign(v, i) is None:
+        if assign(v, i) is None:
             return None
         free ^= 1 << v
 
@@ -273,10 +270,8 @@ def _k_coloring_search(
     # before it, neighbours whose domain it narrowed)
     stack: list[tuple[int, int, int, list[int]]] = []
     used = len(clique)
-    ticks = 0
     while True:
-        ticks += 1
-        if ticks % 256 == 1 and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             raise SolverTimeout
         if not free:
             return tuple(colors)
@@ -308,20 +303,30 @@ def _k_coloring_search(
 class ChromaticResult:
     """Outcome of an exact chromatic number computation.
 
-    When ``exact`` the witness is proper and uses exactly ``chi``
-    colors; on timeout only the bracketing interval [lower, upper] is
-    certified and ``chi`` is None.
+    ``witness`` is a proper coloring with ``upper`` colors, ``clique``
+    is a clique, and the search refuted every k from ``len(clique)`` to
+    ``lower - 1``, so chi lies in [lower, upper]. The result is exact
+    when the two meet; when the deadline passed first, ``chi`` is None.
     """
 
-    chi: int | None
     lower: int
     upper: int
-    exact: bool
     witness: Coloring
-    clique_lower: int
     clique: tuple[int, ...]
-    method: str  # "sandwich" | "branch-and-bound" | "oracle"
+    method: str  # "sandwich" | "branch-and-bound"
     elapsed: float
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
+
+    @property
+    def chi(self) -> int | None:
+        return self.upper if self.exact else None
+
+    @property
+    def clique_lower(self) -> int:
+        return len(self.clique)
 
     def to_json_dict(self) -> dict:
         return {
@@ -335,11 +340,7 @@ class ChromaticResult:
         }
 
 
-def chromatic_number(
-    g: Graph,
-    timeout: float = DEFAULT_TIMEOUT,
-    clique_budget: int = DEFAULT_CLIQUE_BUDGET,
-) -> ChromaticResult:
+def chromatic_number(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
     """Exact chromatic number with a proper witness coloring.
 
     Runs the clique/DSATUR sandwich first; any remaining gap is closed
@@ -349,41 +350,21 @@ def chromatic_number(
     """
     start = time.perf_counter()
     deadline = time.monotonic() + timeout
-    if g.n == 0:
-        empty = Coloring((), 0)
-        return ChromaticResult(0, 0, 0, True, empty, 0, (), "sandwich", 0.0)
-
-    cl = max_clique_lower(g, clique_budget, deadline)
-    ds = dsatur_upper(g)
-    upper = ds.palette_size
-    lower = cl.size
-    if lower == upper:
-        return ChromaticResult(
-            upper, lower, upper, True, ds, cl.size, cl.vertices,
-            "sandwich", time.perf_counter() - start,
-        )
-
-    k = lower
-    while k < upper:
-        try:
-            solution = _k_coloring_search(g, k, cl.vertices, deadline)
-        except SolverTimeout:
-            return ChromaticResult(
-                None, k, upper, False, ds, cl.size, cl.vertices,
-                "branch-and-bound", time.perf_counter() - start,
-            )
-        if solution is not None:
-            witness = Coloring(solution, k)
-            return ChromaticResult(
-                k, k, k, True, witness, cl.size, cl.vertices,
-                "branch-and-bound", time.perf_counter() - start,
-            )
-        k += 1
-
-    # every k below the DSATUR value is infeasible, so DSATUR was optimal
+    cl = max_clique_lower(g, deadline)
+    witness = dsatur_upper(g)
+    lower, upper = cl.size, witness.palette_size
+    method = "sandwich" if lower == upper else "branch-and-bound"
+    try:
+        while lower < upper:
+            solution = _k_coloring_search(g, lower, cl.vertices, deadline)
+            if solution is None:
+                lower += 1
+            else:
+                witness, upper = Coloring(solution, lower), lower
+    except SolverTimeout:
+        pass
     return ChromaticResult(
-        upper, upper, upper, True, ds, cl.size, cl.vertices,
-        "branch-and-bound", time.perf_counter() - start,
+        lower, upper, witness, cl.vertices, method, time.perf_counter() - start
     )
 
 

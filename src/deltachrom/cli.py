@@ -79,11 +79,11 @@ def _load_graph(term: str):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(f"empty range {text}: {lo} > {hi}")
+    return lo, hi
 
 
 def cmd_chi_delta(args: argparse.Namespace) -> int:
@@ -138,7 +138,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_structure(args: argparse.Namespace) -> int:
     factors = [_load_graph(term)[0] for term in args.specs]
-    dec = delta_of_product(factors, max_vertices=args.max_vertices)
+    dec = delta_of_product(factors)
     print(f"|E(product)|           = {dec.product.edge_count()}")
     print(f"|E(delta of product)|  = {dec.delta_of_product.edge_count()}")
     print(f"|E(product of deltas)| = {dec.product_of_deltas.edge_count()}")
@@ -235,6 +235,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max is not None:
         opts["max"] = args.max
     rows = run_check(args.check, opts)
+    if not rows:
+        # a range that selects no instance verifies nothing
+        raise ValueError(f"verify {args.check} yields no row for these options")
     if args.fmt == "csv":
         print("check_id,params,expected,computed,status,seconds")
         for r in rows:
@@ -292,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("structure", help="product decomposition edge counts")
     p.add_argument("specs", nargs="+")
     p.add_argument("--emit-s", action="store_true", help="dump S as a JSON edge list")
-    p.add_argument("--max-vertices", type=int, default=10_000)
     p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("construct", help="run one of the explicit colorings")

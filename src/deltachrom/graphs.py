@@ -204,9 +204,7 @@ class ProductIndex:
         return tuple(coords)
 
 
-def cartesian_product(
-    factors: Sequence[Graph], max_vertices: int = MAX_PRODUCT_VERTICES
-) -> tuple[Graph, ProductIndex]:
+def cartesian_product(factors: Sequence[Graph]) -> tuple[Graph, ProductIndex]:
     """Cartesian product of the factors, plus the coordinate bijection.
 
     Two tuples are adjacent iff they differ in exactly one coordinate i
@@ -218,9 +216,9 @@ def cartesian_product(
     if any(g.n == 0 for g in fs):
         raise ValueError("product factors must be nonempty")
     index = ProductIndex(tuple(g.n for g in fs))
-    if index.total > max_vertices:
+    if index.total > MAX_PRODUCT_VERTICES:
         raise SizeLimitError(
-            f"product has {index.total} vertices, over the {max_vertices} budget"
+            f"product has {index.total} vertices, over the {MAX_PRODUCT_VERTICES} budget"
         )
     # spread[c] holds factor i's neighbours of coordinate c at bits w * stride_i
     axes = [

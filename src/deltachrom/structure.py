@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import (
-    MAX_PRODUCT_VERTICES,
     Graph,
     ProductIndex,
     cartesian_product,
@@ -63,28 +62,24 @@ def _extra_graph(product: Graph, index: ProductIndex) -> Graph:
     return Graph._from_masks(product.n, masks)
 
 
-def extra_edge_set(
-    factors: Sequence[Graph], max_vertices: int = MAX_PRODUCT_VERTICES
-) -> list[tuple[int, int]]:
+def extra_edge_set(factors: Sequence[Graph]) -> list[tuple[int, int]]:
     """The extra edge set S of the product's delta-complement.
 
     Exactly the pairs {u, v} of product vertices differing in two or
     more coordinates with equal product degree. Returned sorted for
     determinism.
     """
-    return _extra_graph(*cartesian_product(factors, max_vertices)).edges()
+    return _extra_graph(*cartesian_product(factors)).edges()
 
 
-def delta_of_product(
-    factors: Sequence[Graph], max_vertices: int = MAX_PRODUCT_VERTICES
-) -> DeltaProductDecomposition:
+def delta_of_product(factors: Sequence[Graph]) -> DeltaProductDecomposition:
     """Assemble the full decomposition for the given factors."""
     fs = list(factors)
     if not fs:
         raise ValueError("at least one factor required")
-    product, index = cartesian_product(fs, max_vertices)
+    product, index = cartesian_product(fs)
     deltas = [delta_complement(g) for g in fs]
-    product_of_deltas, _ = cartesian_product(deltas, max_vertices)
+    product_of_deltas, _ = cartesian_product(deltas)
     return DeltaProductDecomposition(
         product=product,
         index=index,

@@ -17,6 +17,7 @@ from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 from .bounds import (
+    degree_difference_set,
     formula_chi_delta,
     lemma_ceiling_check,
     ng_bounds_check,
@@ -323,7 +324,10 @@ def degree_diff_universe(max_product: int = 30) -> list[FamilySpec]:
 def check_degree_diff(opts: dict) -> Rows:
     max_product = opts.get("max", 30)
     timeout = opts.get("timeout", DEFAULT_TIMEOUT)
-    universe = [(spec, generate(spec)) for spec in degree_diff_universe(max_product)]
+    universe = []
+    for spec in degree_diff_universe(max_product):
+        g = generate(spec)
+        universe.append((spec, g, degree_difference_set(g)))
     chi_d_cache: dict[str, ChromaticResult] = {}
     product_cache: dict[frozenset, ChromaticResult] = {}
 
@@ -333,13 +337,10 @@ def check_degree_diff(opts: dict) -> Rows:
             chi_d_cache[key] = chi_delta(g, timeout=timeout)
         return chi_d_cache[key]
 
-    for spec_g, g in universe:
-        for spec_h, h in universe:
-            if g.n * h.n > max_product:
-                continue
-            chk = upper_degree_diff_check(g, h, 0, 0)
-            if not chk.hypothesis_met:
-                continue  # not an instance of the bound
+    for spec_g, g, diffs_g in universe:
+        for spec_h, h, diffs_h in universe:
+            if g.n * h.n > max_product or diffs_g & diffs_h:
+                continue  # too large, or not an instance of the bound
             key = frozenset((format_spec(spec_g), format_spec(spec_h)))
             if key not in product_cache:
                 product, _ = cartesian_product([g, h])

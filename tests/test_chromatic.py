@@ -3,12 +3,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltachrom import (
+    CliqueResult,
     Coloring,
     Graph,
     cartesian_product,
@@ -22,6 +24,7 @@ from deltachrom import (
     max_clique_lower,
     oracle_chromatic,
 )
+from deltachrom import chromatic
 from deltachrom.families import (
     complete_graph,
     cycle_graph,
@@ -43,6 +46,28 @@ from _oracles import (
 from strategies import dense_graphs, graphs, wide_graphs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class FakeClock:
+    """Stands in for the solver's ``time.monotonic``: the first ``budget``
+    reads come before a deadline of 0.0, every later read after it."""
+
+    def __init__(self, budget=float("inf")):
+        self.budget, self.reads = budget, 0
+
+    def __call__(self):
+        self.reads += 1
+        return -1.0 if self.reads <= self.budget else 1.0
+
+
+def clique_on_fake_clock(monkeypatch, g, budget=float("inf")):
+    """max_clique_lower with a deadline that passes after ``budget`` clock
+    reads, and the number of reads it made."""
+    clock = FakeClock(budget)
+    with monkeypatch.context() as m:
+        m.setattr(chromatic, "time", SimpleNamespace(monotonic=clock))
+        return max_clique_lower(g, deadline=0.0), clock.reads
+
 
 # Published 10-coloring of the delta-complement of the 6 x 7 grid product,
 # transcribed row by row (row-major over the 6-path first, 0-based colors).
@@ -143,28 +168,48 @@ class TestMaxClique:
         product, _ = cartesian_product([path_graph(6), path_graph(7)])
         assert max_clique_lower(delta_complement(product)).size >= 10
 
-    def test_budget_exhaustion_still_returns_clique(self):
-        g = complement(cycle_graph(9))
-        result = max_clique_lower(g, budget=2)
+    def test_budget_exhaustion_still_returns_clique(self, monkeypatch):
+        # six reads reach the maximum clique of delta(C7 x P3) but not
+        # the node that would prove it maximum
+        product, _ = cartesian_product([cycle_graph(7), path_graph(3)])
+        g = delta_complement(product)
+        result, _ = clique_on_fake_clock(monkeypatch, g, budget=6)
         assert not result.complete
-        assert result.size == len(result.vertices)
+        assert result.size == len(result.vertices) == 6
+        assert pairwise_is_clique(g, result.vertices)
 
     @pytest.mark.parametrize("budget", [0, 1])
-    def test_tiny_budget_returns_a_true_clique(self, budget):
+    def test_tiny_budget_returns_a_true_clique(self, monkeypatch, budget):
+        # budget: clock reads before the deadline passes
         product, _ = cartesian_product([path_graph(6), path_graph(7)])
         g = delta_complement(product)
-        result = max_clique_lower(g, budget=budget)
+        result, _ = clique_on_fake_clock(monkeypatch, g, budget)
         assert not result.complete
         assert 1 <= result.size == len(result.vertices) <= 10
         assert pairwise_is_clique(g, result.vertices)
 
     @pytest.mark.parametrize("budget", [0, 1])
-    def test_stop_before_any_leaf_keeps_one_vertex(self, budget):
-        # the first branch of the root opens a second node, so budget 1
-        # stops before any leaf just as budget 0 does
+    def test_stop_before_any_leaf_keeps_one_vertex(self, monkeypatch, budget):
+        # the first branch of the root opens a second node, so a deadline
+        # at the second read stops before any leaf just as one at the first
         g = complement(cycle_graph(9))
-        result = max_clique_lower(g, budget=budget)
+        result, reads = clique_on_fake_clock(monkeypatch, g, budget)
         assert (result.size, result.vertices, result.complete) == (1, (0,), False)
+        assert reads == budget + 1
+
+    @pytest.mark.parametrize("g,nodes", [
+        (complete_graph(1), 1), (complete_graph(5), 5), (complete_graph(7), 7),
+        (empty_graph(7), 1), (complement(cycle_graph(9)), 4),
+    ], ids=["K1", "K5", "K7", "N7", "C9-complement"])
+    def test_reads_the_clock_once_per_node(self, monkeypatch, g, nodes):
+        # on K_m the search opens one node per candidate set of m, m-1,
+        # ..., 1 vertices and prunes every sibling; on an edgeless graph
+        # every child of the root is a leaf
+        result, reads = clique_on_fake_clock(monkeypatch, g)
+        assert result.complete and reads == nodes
+        # the last node's read decides whether the search finishes
+        assert clique_on_fake_clock(monkeypatch, g, nodes)[0].complete
+        assert not clique_on_fake_clock(monkeypatch, g, nodes - 1)[0].complete
 
     def test_expired_deadline_keeps_one_vertex(self):
         g = complement(cycle_graph(9))
@@ -282,17 +327,39 @@ class TestChromaticNumber:
 
     @pytest.mark.parametrize("budget", [0, 1])
     @pytest.mark.parametrize("n", [5, 7, 9])
-    def test_tiny_clique_budget_keeps_the_bracket(self, n, budget):
-        # chi(delta(C_n x P3)) = 2*ceil(n/2); a truncated clique search
-        # still gives a sound lower bound, and the search closes the gap
+    def test_tiny_clique_budget_keeps_the_bracket(self, monkeypatch, n, budget):
+        # chi(delta(C_n x P3)) = 2*ceil(n/2); a clique search cut short
+        # after `budget` clock reads still gives a sound lower bound, and
+        # the k-search closes the gap
         product, _ = cartesian_product([cycle_graph(n), path_graph(3)])
         g = delta_complement(product)
-        result = chromatic_number(g, clique_budget=budget)
+        cut, _ = clique_on_fake_clock(monkeypatch, g, budget)
+        assert cut == CliqueResult(1, (0,), False)
+        monkeypatch.setattr(chromatic, "max_clique_lower", lambda g, deadline: cut)
+        result = chromatic_number(g)
         assert result.exact and result.chi == 2 * ((n + 1) // 2)
-        assert result.clique_lower <= result.chi
-        assert pairwise_is_clique(g, result.clique)
+        assert result.clique == (0,) and result.method == "branch-and-bound"
         assert is_proper(g, result.witness)
         assert result.witness.colors_used == result.chi
+
+    @given(graphs(max_n=8), st.sampled_from([0.0, 60.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_derived_fields(self, g, timeout):
+        result = chromatic_number(g, timeout=timeout)
+        assert result.exact == (result.lower == result.upper)
+        assert result.chi == (result.upper if result.exact else None)
+        assert result.clique_lower == len(result.clique) <= result.lower
+        assert is_proper(g, result.witness)
+        assert result.witness.palette_size == result.upper
+
+    def test_deadline_holds_at_the_vertex_limit(self):
+        # 10 000 vertices: one node of the clique search colour-sorts up
+        # to 10 000 candidates, so the deadline must be read at every node
+        g = generate(parse_spec("X(K4,P50,P50)"))
+        start = time.perf_counter()
+        result = chi_delta(g, timeout=1.0)
+        assert not result.exact
+        assert time.perf_counter() - start < 4.0
 
     def test_deep_solves_leave_the_recursion_limit_alone(self):
         # the limit is set below the depth a recursive clique search

@@ -157,6 +157,18 @@ class TestStructure:
         assert out.splitlines()[-1] == json.dumps([list(e) for e in s], separators=(",", ":"))
 
 
+    @pytest.mark.parametrize("flags,message", [
+        ((), "over the 10000 budget"),
+        (("--max-vertices", "20000"), "unrecognized arguments: --max-vertices"),
+    ])
+    def test_product_over_the_vertex_budget_is_usage_error(self, capsys, flags, message):
+        # the 10 000-vertex limit is the only one; no flag raises it
+        code = main(["structure", "P100", "P101", *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
+
 class TestConstruct:
     def test_star_star_check(self, capsys):
         code, out = run(capsys, "construct", "star-star", "3", "3", "--check")
@@ -263,6 +275,17 @@ class TestVerify:
         assert code == 0
         assert not [line for line in out.splitlines() if line.startswith("FAIL")]
         assert out.splitlines()[-1].endswith(f" 0 failed, {skipped} skipped")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("path-path", "--k", "3..5"), "verify path-path yields no row"),
+        (("cycle-p3", "--n", "9..3"), "empty range 9..3"),
+        (("all", "--m", "5..4"), "empty range 5..4"),
+    ])
+    def test_range_that_selects_nothing_is_usage_error(self, capsys, argv, message):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
     def test_unknown_check_is_usage_error(self, capsys):
         code, _ = run(capsys, "verify", "does-not-exist")
