@@ -84,10 +84,11 @@ def max_clique_lower(g: Graph, deadline: float = math.inf) -> CliqueResult:
 
     The clock (``time.monotonic``) is read once per search node. When
     the search ends before the deadline the result is the maximum
-    clique; otherwise the best clique found so far, or vertex 0 alone
-    when no leaf was reached, is returned with ``complete=False``. The
-    returned vertex set is re-verified to be pairwise adjacent before
-    returning.
+    clique. Otherwise it has ``complete=False`` and is the larger of the
+    best clique found so far and the open branch path, whose vertices
+    are pairwise adjacent too; the path counts from two vertices on,
+    and vertex 0 alone stands in when neither holds one. The returned
+    vertex set is re-verified to be pairwise adjacent before returning.
     """
     n = g.n
     if n == 0:
@@ -124,6 +125,8 @@ def max_clique_lower(g: Graph, deadline: float = math.inf) -> CliqueResult:
         if cand:
             if time.monotonic() > deadline:
                 complete = False
+                if rsize > max(best_size, 1):
+                    best_size, best_mask = rsize, rmask
                 break
             order, bounds = color_sort(cand)
             stack.append([rmask, rsize, order, bounds, cand])
@@ -146,7 +149,8 @@ def max_clique_lower(g: Graph, deadline: float = math.inf) -> CliqueResult:
             best_size, best_mask = rsize + 1, rmask | vb
 
     if not best_size:
-        # stopped before the first leaf; any one vertex is a clique
+        # stopped before the first leaf on a path of at most one vertex;
+        # any one vertex is a clique
         best_size, best_mask = 1, 1
     verts = tuple(iter_bits(best_mask))
     if not is_clique(g, verts):

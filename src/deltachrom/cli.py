@@ -35,22 +35,15 @@ from pathlib import Path
 from .bounds import formula_chi_delta
 from .chromatic import DEFAULT_TIMEOUT, chi_delta
 from .constructions import (
-    ConstructionResult,
     degree_diff_product_coloring,
     join_p3_coloring,
+    on_product,
     path_path_coloring,
     star_path_coloring,
     star_star_coloring,
 )
-from .families import complete_graph, generate, join, parse_spec
-from .graphs import (
-    cartesian_product,
-    delta_complement,
-    from_json,
-    json_edge_list,
-    to_dot,
-    to_json,
-)
+from .families import complete_graph, generate, join, parse_spec, path_graph
+from .graphs import delta_complement, from_json, json_edge_list, to_dot, to_json
 from .structure import delta_of_product, equality_holds
 from .verification import DEFAULT_SEED, check_ids, run_check
 
@@ -94,12 +87,13 @@ def cmd_chi_delta(args: argparse.Namespace) -> int:
     if formula is not None and result.exact:
         agree = result.chi == formula.value
     off = 1 if args.one_based else 0
+    witness = [c + off for c in result.witness.colors]
     if args.fmt == "json":
         payload = {
             "spec": args.spec,
             "formula": formula.value if formula else None,
             "formula_note": formula.note if formula else None,
-            "solver": result.to_json_dict(),
+            "solver": {**result.to_json_dict(), "witness": witness},
             "agree": agree,
         }
         print(json.dumps(payload, separators=(",", ":")))
@@ -112,7 +106,6 @@ def cmd_chi_delta(args: argparse.Namespace) -> int:
                 print(f"note: {formula.note}")
         if result.exact:
             print(f"solver: {result.chi} ({result.method}, {int(result.elapsed * 1000)} ms)")
-            witness = [c + off for c in result.witness.colors]
             print(f"witness: {witness}")
         else:
             print(f"solver: inexact, bracket [{result.lower}, {result.upper}]")
@@ -126,6 +119,8 @@ def cmd_chi_delta(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    if args.one_based and args.fmt == "json":
+        raise ValueError("--one-based applies to DOT only: @file.json reads JSON back 0-based")
     graph, _ = _load_graph(args.spec)
     if args.delta:
         graph = delta_complement(graph)
@@ -162,43 +157,38 @@ def _solved(term: str, args: argparse.Namespace):
     return graph, result.witness
 
 
-def _construction_result(args: argparse.Namespace):
-    """The construction's result, or None when a solve it needs was cut short."""
-    name = args.construction
-    params = args.params
-    if name == "star-star":
-        m, n = (int(p) for p in params)
-        return star_star_coloring(m, n)
-    if name == "star-path":
-        m, n = (int(p) for p in params)
-        return star_path_coloring(m, n)
-    if name == "path-path":
-        n, k = (int(p) for p in params)
-        return path_path_coloring(n, k)
-    if name == "join-p3":
-        (term,) = params
-        h, ch = _solved(term, args)
-        if ch is None:
-            return None
-        coloring = join_p3_coloring(h, ch)
-        product, index = cartesian_product(
-            [join(complete_graph(1), h), generate(parse_spec("P3"))]
-        )
-        return ConstructionResult(delta_complement(product), index, coloring, ())
-    if name == "degree-diff":
-        term_g, term_h = params
-        g, c0 = _solved(term_g, args)
-        if c0 is None:
-            return None
-        h, _ = _load_graph(term_h)
-        coloring = degree_diff_product_coloring(g, c0, h)
-        product, index = cartesian_product([g, h])
-        return ConstructionResult(delta_complement(product), index, coloring, ())
-    raise ValueError(f"unknown construction {name!r}")
+def _join_p3(args: argparse.Namespace, term: str):
+    h, ch = _solved(term, args)
+    if ch is None:
+        return None
+    return on_product([join(complete_graph(1), h), path_graph(3)], join_p3_coloring(h, ch))
+
+
+def _degree_diff(args: argparse.Namespace, term_g: str, term_h: str):
+    g, c0 = _solved(term_g, args)
+    if c0 is None:
+        return None
+    h, _ = _load_graph(term_h)
+    return on_product([g, h], degree_diff_product_coloring(g, c0, h))
+
+
+# construction -> (parameter count, its result from the arguments and the
+# parameters, or None when a solve it needs was cut short)
+CONSTRUCTIONS = {
+    "star-star": (2, lambda args, m, n: star_star_coloring(int(m), int(n))),
+    "star-path": (2, lambda args, m, n: star_path_coloring(int(m), int(n))),
+    "path-path": (2, lambda args, n, k: path_path_coloring(int(n), int(k))),
+    "join-p3": (1, _join_p3),
+    "degree-diff": (2, _degree_diff),
+}
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    result = _construction_result(args)
+    count, build = CONSTRUCTIONS[args.construction]
+    if len(args.params) != count:
+        raise ValueError(f"construct {args.construction} takes {count} "
+                         f"parameter{'s' if count > 1 else ''}, got {len(args.params)}")
+    result = build(args, *args.params)
     if result is None:
         return EXIT_INEXACT
     off = 1 if args.one_based else 0
@@ -212,7 +202,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             "palette": result.coloring.palette_size,
             "colors_used": result.coloring.colors_used,
             "colors": [c + off for c in result.coloring.colors],
-            "clique": list(result.clique),
+            "clique": [v + off for v in result.clique],
         }
         if checked is not None:
             payload["check"] = "pass" if checked else "fail"
@@ -298,10 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("construct", help="run one of the explicit colorings")
-    p.add_argument(
-        "construction",
-        choices=("star-star", "star-path", "path-path", "join-p3", "degree-diff"),
-    )
+    p.add_argument("construction", choices=tuple(CONSTRUCTIONS))
     p.add_argument("params", nargs="+")
     p.add_argument("--check", action="store_true",
                    help="re-verify properness and the clique certificate")

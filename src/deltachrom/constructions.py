@@ -7,32 +7,29 @@ trusted by the test suite; every output is re-checked against the
 delta-complement built by the graph core.
 
 Formulas are written 1-based, matching how these colorings are usually
-stated, and translated at the boundary. Translation per construction:
-
-  star factors:   hub 0 and pendants 1..m are already canonical
-  path factors:   1-based position j maps to canonical vertex j-1
-  colors:         1-based values map to 0-based by subtracting 1
+stated, and ``_coloring`` translates them in one place: it walks each
+factor's coordinates as the formula numbers them (hub 0 and pendants
+1..m for a star, positions 1..n for a path) and subtracts 1 from every
+color. ``on_product`` then builds the product, its delta-complement and
+the clique certificate, given by the canonical 0-based coordinates of
+its vertices.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bounds import ceil_div, degree_difference_set
-from .chromatic import Coloring, dsatur_upper, is_clique, is_proper
-from .families import (
-    complete_graph,
-    empty_graph,
-    join,
-    is_regular,
-    path_graph,
-    star_graph,
-)
+from .chromatic import Coloring, is_clique, is_proper
+from .families import empty_graph, is_regular, path_graph, star_graph
 from .graphs import (
     Graph,
     ProductIndex,
     cartesian_product,
+    check_product_size,
     degree_masks,
     delta_complement,
     iter_bits,
@@ -61,6 +58,37 @@ class ConstructionResult:
             and is_clique(self.graph, self.clique)
             and (not self.clique or len(self.clique) == self.coloring.colors_used)
         )
+
+
+def on_product(
+    factors: Sequence[Graph],
+    coloring: Coloring,
+    clique_coords: Iterable[Sequence[int]] = (),
+) -> ConstructionResult:
+    """The coloring on the delta-complement of the factors' product, with
+    the clique whose vertices have the given coordinates."""
+    product, index = cartesian_product(factors)
+    clique = tuple(sorted(map(index.flat, clique_coords)))
+    return ConstructionResult(delta_complement(product), index, coloring, clique)
+
+
+def _coloring(palette: int, color: Callable[..., int], *axes: range) -> Coloring:
+    """The 0-based coloring giving each product vertex the 1-based color
+    ``color(x1, x2, ...)`` of its coordinates.
+
+    Each axis lists one factor's vertices as the formula numbers them, in
+    vertex order, so ``itertools.product`` walks them in ProductIndex
+    order, last coordinate fastest.
+    """
+    check_product_size(math.prod(map(len, axes)))
+    return Coloring(tuple(color(*x) - 1 for x in itertools.product(*axes)), palette)
+
+
+def _ranks(coloring: Coloring) -> list[int]:
+    """Each vertex's color as its rank among the colors used, 1-based and
+    order-preserving."""
+    rank = {c: r for r, c in enumerate(sorted(set(coloring.colors)), start=1)}
+    return [rank[c] for c in coloring.colors]
 
 
 def cyclic_block_grid(
@@ -110,17 +138,13 @@ def degree_diff_product_coloring(g: Graph, c0: Coloring, h: Graph) -> Coloring:
     classes = sorted(degree_masks(h).items())  # ascending degree
     sizes = [mask.bit_count() for _, mask in classes]
     p = max(c0.colors_used, len(classes))
-    # normalize whatever colors c0 uses onto 1..q, order-preserving
-    ranks = {c: r + 1 for r, c in enumerate(sorted(set(c0.colors)))}
-    grid = cyclic_block_grid([ranks[c] for c in c0.colors], sizes, p)
-    colors = [-1] * (g.n * h.n)
-    column = 0
-    for _, mask in classes:
-        for vh in iter_bits(mask):
-            for vg in range(g.n):
-                colors[vg * h.n + vh] = grid[vg][column] - 1
-            column += 1
-    return Coloring(tuple(colors), max(sizes, default=0) * p)
+    grid = cyclic_block_grid(_ranks(c0), sizes, p)
+    members = itertools.chain.from_iterable(iter_bits(mask) for _, mask in classes)
+    column = [0] * h.n
+    for col, vh in enumerate(members):
+        column[vh] = col
+    return _coloring(max(sizes, default=0) * p, lambda vg, vh: grid[vg][column[vh]],
+                     range(g.n), range(h.n))
 
 
 def join_p3_coloring(h: Graph, ch: Coloring) -> Coloring:
@@ -143,22 +167,9 @@ def join_p3_coloring(h: Graph, ch: Coloring) -> Coloring:
         raise ValueError(f"need at least 2 colors on the delta-complement of h, got {q}")
     if not h.n > reg + 2:
         raise ValueError(f"need |V(h)| > k + 2, got {h.n} <= {reg} + 2")
-    ranks = {c: r + 1 for r, c in enumerate(sorted(set(ch.colors)))}
-    hub_graph = join(complete_graph(1), h)  # hub 0, h at 1..|V(h)|
-    colors = [-1] * (hub_graph.n * 3)
-
-    def put(vg: int, copy: int, c: int) -> None:
-        colors[vg * 3 + (copy - 1)] = c - 1
-
-    put(0, 1, q + 1)
-    put(0, 2, q + 2)
-    put(0, 3, 1)
-    for r in range(h.n):
-        c1 = ranks[ch.colors[r]]
-        put(r + 1, 1, c1)
-        put(r + 1, 2, c1 + 1 if c1 <= q - 1 else 1)
-        put(r + 1, 3, c1 + q)
-    return Coloring(tuple(colors), 2 * q)
+    # the colors of copies 1, 2, 3 of the hub, then of each vertex of h
+    rows = [(q + 1, q + 2, 1)] + [(c, c % q + 1, c + q) for c in _ranks(ch)]
+    return _coloring(2 * q, lambda v, copy: rows[v][copy - 1], range(h.n + 1), range(1, 4))
 
 
 def star_star_coloring(m: int, n: int) -> ConstructionResult:
@@ -171,24 +182,19 @@ def star_star_coloring(m: int, n: int) -> ConstructionResult:
     """
     if m < 3 or n < 3:
         raise ValueError(f"needs m, n >= 3, got ({m},{n})")
-    product, index = cartesian_product([star_graph(m), star_graph(n)])
-    delta = delta_complement(product)
-    colors = [-1] * product.n
-    for i in range(m + 1):
-        for j in range(n + 1):
-            if i == 0:
-                c = j + 1
-            elif j >= 1:
-                c = (i - 1) * n + j
-            elif i < m:
-                c = (i + 1) * n
-            else:  # i == m, j == 0
-                c = n + 2
-            colors[index.flat((i, j))] = c - 1
-    clique = tuple(
-        sorted(index.flat((i, j)) for i in range(1, m + 1) for j in range(1, n + 1))
+
+    def color(i: int, j: int) -> int:
+        if i == 0:
+            return j + 1
+        if j >= 1:
+            return (i - 1) * n + j
+        return (i + 1) * n if i < m else n + 2
+
+    return on_product(
+        [star_graph(m), star_graph(n)],
+        _coloring(m * n, color, range(m + 1), range(n + 1)),
+        itertools.product(range(1, m + 1), range(1, n + 1)),
     )
-    return ConstructionResult(delta, index, Coloring(tuple(colors), m * n), clique)
 
 
 def star_path_coloring(m: int, n: int) -> ConstructionResult:
@@ -204,56 +210,39 @@ def star_path_coloring(m: int, n: int) -> ConstructionResult:
         raise ValueError(f"needs m >= 3 pendants, got {m}")
     if n < 3:
         raise ValueError(f"needs path length n >= 3, got {n}")
-    product, index = cartesian_product([star_graph(m), path_graph(n)])
-    delta = delta_complement(product)
+    factors = [star_graph(m), path_graph(n)]
+    pendants = range(1, m + 1)
 
     if n == 3:
-        pendants = empty_graph(m)  # delta-complement is complete, m colors
-        ch = Coloring(tuple(range(m)), m)
-        coloring = join_p3_coloring(pendants, ch)
-        clique = tuple(
-            sorted(index.flat((i, j)) for i in range(1, m + 1) for j in (0, 2))
-        )
-        return ConstructionResult(delta, index, coloring, clique)
+        # the pendants are 0-regular: their delta-complement is complete
+        coloring = join_p3_coloring(empty_graph(m), Coloring(tuple(range(m)), m))
+        return on_product(factors, coloring, itertools.product(pendants, (0, 2)))
 
     if n == 4:
-        p4 = path_graph(4)
-        c0 = dsatur_upper(delta_complement(p4))  # two colors, deterministic
-        on_p4_first = degree_diff_product_coloring(p4, c0, star_graph(m))
-        tindex = ProductIndex((4, m + 1))
-        colors = [
-            on_p4_first.colors[tindex.flat((j, i))]
-            for i in range(m + 1)
-            for j in range(4)
-        ]
-        coloring = Coloring(tuple(colors), on_p4_first.palette_size)
-        clique = tuple(
-            sorted(index.flat((i, j)) for i in range(1, m + 1) for j in (0, 3))
-        )
-        return ConstructionResult(delta, index, coloring, clique)
+        # delta(P4) is the path 1-0-3-2, so (0, 1, 0, 1) colors it
+        on_p4 = degree_diff_product_coloring(path_graph(4), Coloring((0, 1, 0, 1), 2), factors[0])
+        # vertex (i, j) of the star-path product is vertex (j, i) of P4 x S1,m
+        colors = itertools.chain.from_iterable(on_p4.colors[i :: m + 1] for i in range(m + 1))
+        coloring = Coloring(tuple(colors), on_p4.palette_size)
+        return on_product(factors, coloring, itertools.product(pendants, (0, 3)))
 
     k = ceil_div(n - 2, 2)
-    colors = [-1] * product.n
-    for i in range(m + 1):
-        for j in range(1, n + 1):  # 1-based path positions
-            if j == 1:
-                c = i + (k - 1) * m
-            elif j == n:
-                c = i if i >= 1 else k * m
-            elif i == 0 and j in (2, 3):
-                c = k * m
-            else:
-                c = i + (j // 2 - 1) * m
-            colors[index.flat((i, j - 1))] = c - 1
-    clique = tuple(
-        sorted(
-            index.flat((i, j - 1))
-            for i in range(1, m + 1)
-            for j in range(2, n)
-            if j % 2 == 0
-        )
+
+    def color(i: int, j: int) -> int:  # j: 1-based path position
+        if j == 1:
+            return i + (k - 1) * m
+        if j == n:
+            return i if i >= 1 else k * m
+        if i == 0 and j in (2, 3):
+            return k * m
+        return i + (j // 2 - 1) * m
+
+    # the clique holds the pendants at the even positions 2..n-1
+    return on_product(
+        factors,
+        _coloring(k * m, color, range(m + 1), range(1, n + 1)),
+        itertools.product(pendants, range(1, n - 1, 2)),
     )
-    return ConstructionResult(delta, index, Coloring(tuple(colors), k * m), clique)
 
 
 def path_path_coloring(n: int, k: int) -> ConstructionResult:

@@ -202,11 +202,17 @@ def is_regular(g: Graph) -> int | None:
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    """Uniform G(n, p); used only to build seeded verification corpora."""
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return Graph(n, edges)
+    """Uniform G(n, p); used only to build seeded verification corpora.
+
+    One draw per pair u < v, in lexicographic order.
+    """
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph._from_masks(n, rows)
 
 
 # --- term language -----------------------------------------------------------

@@ -20,6 +20,15 @@ class SizeLimitError(ValueError):
     """An operation would exceed the configured vertex budget."""
 
 
+def check_product_size(total: int) -> None:
+    """Refuse a product of ``total`` vertices over the budget, before
+    anything is built for it."""
+    if total > MAX_PRODUCT_VERTICES:
+        raise SizeLimitError(
+            f"product has {total} vertices, over the {MAX_PRODUCT_VERTICES} budget"
+        )
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -216,10 +225,7 @@ def cartesian_product(factors: Sequence[Graph]) -> tuple[Graph, ProductIndex]:
     if any(g.n == 0 for g in fs):
         raise ValueError("product factors must be nonempty")
     index = ProductIndex(tuple(g.n for g in fs))
-    if index.total > MAX_PRODUCT_VERTICES:
-        raise SizeLimitError(
-            f"product has {index.total} vertices, over the {MAX_PRODUCT_VERTICES} budget"
-        )
+    check_product_size(index.total)
     # spread[c] holds factor i's neighbours of coordinate c at bits w * stride_i
     axes = [
         ([sum(1 << w * stride for w in iter_bits(m)) for m in g._adj], stride, g.n)

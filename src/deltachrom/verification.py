@@ -97,18 +97,22 @@ def _span(opts: dict, key: str, default: tuple[int, int]) -> range:
 # --- seeded corpora ----------------------------------------------------------
 
 
+SEEDED_DENSITIES = (0.2, 0.3, 0.5, 0.7, 0.8)
+
+
+def _seeded_graph(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
+    return random_graph(rng.randint(n_lo, n_hi), rng.choice(SEEDED_DENSITIES), rng)
+
+
 def seeded_graphs(
     count: int, n_lo: int, n_hi: int, seed: int, connected: bool = False
 ) -> list[Graph]:
     rng = random.Random(seed)
     out: list[Graph] = []
-    densities = (0.2, 0.3, 0.5, 0.7, 0.8)
     while len(out) < count:
-        n = rng.randint(n_lo, n_hi)
-        g = random_graph(n, rng.choice(densities), rng)
-        if connected and not is_connected(g):
-            continue
-        out.append(g)
+        g = _seeded_graph(rng, n_lo, n_hi)
+        if not connected or is_connected(g):
+            out.append(g)
     return out
 
 
@@ -116,16 +120,7 @@ def seeded_graph_tuples(
     count: int, arity: int, n_lo: int, n_hi: int, seed: int
 ) -> list[tuple[Graph, ...]]:
     rng = random.Random(seed)
-    densities = (0.2, 0.3, 0.5, 0.7, 0.8)
-    out = []
-    for _ in range(count):
-        out.append(
-            tuple(
-                random_graph(rng.randint(n_lo, n_hi), rng.choice(densities), rng)
-                for _ in range(arity)
-            )
-        )
-    return out
+    return [tuple(_seeded_graph(rng, n_lo, n_hi) for _ in range(arity)) for _ in range(count)]
 
 
 # --- individual checks -------------------------------------------------------
@@ -199,8 +194,7 @@ def check_structure(opts: dict) -> Rows:
         ok, detail = _edge_union_identity(pair)
         yield _report({"trial": i, "sizes": [g.n for g in pair]},
                       "union identity + disjointness", detail, ok)
-    triple_trials = opts.get("triples", max(1, trials * 2 // 5))
-    for i, triple in enumerate(seeded_graph_tuples(triple_trials, 3, 1, 4, seed + 1)):
+    for i, triple in enumerate(seeded_graph_tuples(max(1, trials * 2 // 5), 3, 1, 4, seed + 1)):
         ok, detail = _edge_union_identity(triple)
         yield _report({"triple": i, "sizes": [g.n for g in triple]},
                       "3-factor union identity", detail, ok)

@@ -197,6 +197,14 @@ class TestMaxClique:
         assert (result.size, result.vertices, result.complete) == (1, (0,), False)
         assert reads == budget + 1
 
+    def test_stop_keeps_the_open_path(self, monkeypatch):
+        # on K7 each node opens one vertex deeper, so the fourth read
+        # stops the search on a path of three vertices before any leaf
+        g = complete_graph(7)
+        result, reads = clique_on_fake_clock(monkeypatch, g, 3)
+        assert (result.size, result.complete, reads) == (3, False, 4)
+        assert len(result.vertices) == 3 and pairwise_is_clique(g, result.vertices)
+
     @pytest.mark.parametrize("g,nodes", [
         (complete_graph(1), 1), (complete_graph(5), 5), (complete_graph(7), 7),
         (empty_graph(7), 1), (complement(cycle_graph(9)), 4),

@@ -56,6 +56,14 @@ class TestExport:
         code, _ = run(capsys, "export", "Q9")
         assert code == 2
 
+    def test_one_based_json_is_usage_error(self, capsys):
+        # @file.json reads the JSON format back 0-based, so it has no
+        # 1-based form
+        code = main(["export", "P3", "--one-based"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--one-based applies to DOT only" in captured.err
+
     @pytest.mark.parametrize("text", [
         '{"n": 2.7, "edges": []}',
         '{"n": true, "edges": []}',
@@ -102,6 +110,16 @@ class TestChiDelta:
         assert payload["formula"] == 6
         assert payload["solver"]["chi"] == 6
         assert payload["agree"] is True
+
+    def test_one_based_json_witness(self, capsys):
+        _, zero = run(capsys, "chi-delta", "C7", "--fmt", "json")
+        code, one = run(capsys, "chi-delta", "C7", "--fmt", "json", "--one-based")
+        zero, one = json.loads(zero), json.loads(one)
+        assert code == 0
+        assert one["solver"]["witness"] == [c + 1 for c in zero["solver"]["witness"]]
+        del zero["solver"]["witness"], one["solver"]["witness"]
+        del zero["solver"]["ms"], one["solver"]["ms"]
+        assert one == zero
 
     def test_single_vertex(self, capsys):
         code, out = run(capsys, "chi-delta", "K1", "--fmt", "json")
@@ -191,6 +209,25 @@ class TestConstruct:
         code, out = run(capsys, "construct", "degree-diff", "C5", "P3", "--check")
         assert code == 0
         assert json.loads(out)["check"] == "pass"
+
+    def test_one_based_json_shifts_colors_and_clique(self, capsys):
+        _, zero = run(capsys, "construct", "star-path", "3", "5")
+        code, one = run(capsys, "construct", "star-path", "3", "5", "--one-based")
+        zero, one = json.loads(zero), json.loads(one)
+        assert code == 0 and zero["clique"]
+        assert one["colors"] == [c + 1 for c in zero["colors"]]
+        assert one["clique"] == [v + 1 for v in zero["clique"]]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("star-star", "3"), "construct star-star takes 2 parameters, got 1"),
+        (("path-path", "6", "7", "8"), "construct path-path takes 2 parameters, got 3"),
+        (("join-p3", "C5", "C7"), "construct join-p3 takes 1 parameter, got 2"),
+    ])
+    def test_wrong_parameter_count_is_usage_error(self, capsys, argv, message):
+        code = main(["construct", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_dot_output_carries_colors(self, capsys):
         code, out = run(capsys, "construct", "star-star", "3", "3", "--fmt", "dot")

@@ -16,7 +16,9 @@ from deltachrom import (
     star_path_coloring,
     star_star_coloring,
 )
+from deltachrom import constructions
 from deltachrom.bounds import ceil_div
+from deltachrom.graphs import SizeLimitError
 from deltachrom.families import (
     complete_graph,
     cycle_graph,
@@ -261,3 +263,20 @@ class TestPathPath:
             r = path_path_coloring(n, k)
             assert is_proper(r.graph, r.coloring)
             assert r.coloring.colors_used == ceil_div((n - 2) * (k - 2), 2)
+
+
+class TestVertexBudget:
+    def test_formula_over_the_budget_is_never_evaluated(self):
+        # 101 x 100 coordinates are refused before the first color
+        with pytest.raises(SizeLimitError, match="product has 10100 vertices"):
+            constructions._coloring(1, lambda i, j: 1 // 0, range(101), range(100))
+
+    @pytest.mark.parametrize("build,args", [
+        (star_star_coloring, (100, 100)),
+        (star_path_coloring, (5000, 3)),
+        (star_path_coloring, (5000, 4)),
+        (star_path_coloring, (100, 100)),
+    ])
+    def test_products_over_the_budget_are_refused(self, build, args):
+        with pytest.raises(SizeLimitError, match="over the 10000 budget"):
+            build(*args)
