@@ -118,8 +118,6 @@ def _product_formula(a: FamilySpec, b: FamilySpec) -> FormulaValue | None:
 class BoundCheck:
     """One evaluated inequality; skipped (never failed) when out of hypothesis."""
 
-    check_id: str
-    params: dict
     lhs: int
     rhs: int
     holds: bool
@@ -138,11 +136,8 @@ def ng_bounds_check(g: Graph, chi: int, chi_d: int) -> tuple[BoundCheck, BoundCh
     n = g.n
     m, nmax = _class_counts(g)
     hyp = n >= 4
-    params = {"n": n, "m": m, "n_max": nmax, "chi": chi, "chi_delta": chi_d}
     prod_mid = chi * chi_d
     product = BoundCheck(
-        "NG-product",
-        dict(params),
         lhs=nmax,
         rhs=(m + n) ** 2,
         holds=nmax <= prod_mid and 4 * prod_mid <= (m + n) ** 2,
@@ -151,8 +146,6 @@ def ng_bounds_check(g: Graph, chi: int, chi_d: int) -> tuple[BoundCheck, BoundCh
     )
     sum_mid = chi + chi_d
     total = BoundCheck(
-        "NG-sum",
-        dict(params),
         lhs=4 * nmax,
         rhs=m + n,
         holds=4 * nmax <= sum_mid**2 and sum_mid <= m + n,
@@ -168,8 +161,6 @@ def lower_max_factor_check(
     """max over factor delta-chromatic numbers <= the product's value."""
     lhs = max(chi_d_each) if chi_d_each else 0
     return BoundCheck(
-        "lower-max-factor",
-        {"factors": list(chi_d_each), "product": chi_d_product},
         lhs=lhs,
         rhs=chi_d_product,
         holds=lhs <= chi_d_product,
@@ -190,13 +181,6 @@ def upper_degree_diff_check(
     hyp = not (degree_difference_set(g) & degree_difference_set(h))
     rhs = n_max_h * max(chi_d_g, m_h)
     return BoundCheck(
-        "upper-degree-diff",
-        {
-            "chi_delta_g": chi_d_g,
-            "n_max_h": n_max_h,
-            "m_h": m_h,
-            "chi_delta_product": chi_d_product,
-        },
         lhs=chi_d_product,
         rhs=rhs,
         holds=chi_d_product <= rhs,
@@ -215,8 +199,6 @@ def lemma_ceiling_check(n: int, k: int) -> BoundCheck:
     lhs = 2 * ceil_div(n - 2, 2) + 2 * ceil_div(k - 2, 2) + 1
     rhs = ceil_div((n - 2) * (k - 2), 2)
     return BoundCheck(
-        "lemma-ceiling",
-        {"n": n, "k": k},
         lhs=lhs,
         rhs=rhs,
         holds=lhs < rhs,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 MAX_PRODUCT_VERTICES = 10_000
@@ -27,6 +27,23 @@ def check_product_size(total: int) -> None:
         raise SizeLimitError(
             f"product has {total} vertices, over the {MAX_PRODUCT_VERTICES} budget"
         )
+
+
+# A row with at least 8 set bits, and at least one per this many binary
+# digits, is read by scanning its digits at C speed; a sparser row walks
+# its set bits.
+_DENSE_SPACING = 32
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _is_dense(row: int) -> bool:
+    count = row.bit_count()
+    return count >= 8 and count * _DENSE_SPACING >= row.bit_length()
+
+
+def _bit_flags(row: int) -> bytes:
+    """One byte per binary digit of ``row``, lowest first: 1 where set."""
+    return bin(row)[:1:-1].encode().translate(_BIT_FLAGS)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -91,11 +108,17 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (a, b) with a < b, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            above = self._adj[u] >> (u + 1) << (u + 1)
-            for v in iter_bits(above):
-                out.append((u, v))
+        out: list[tuple[int, int]] = []
+        for u, mask in enumerate(self._adj):
+            row = mask >> (u + 1)
+            if _is_dense(row):
+                flags = _bit_flags(row)
+                out.extend(zip(repeat(u), compress(range(u + 1, u + 1 + len(flags)), flags)))
+                continue
+            while row:
+                low = row & -row
+                out.append((u, u + low.bit_length()))
+                row ^= low
         return out
 
     def edge_count(self) -> int:
@@ -249,25 +272,15 @@ def is_connected(g: Graph) -> bool:
     while frontier:
         v = frontier.pop()
         fresh = g._adj[v] & ~seen
-        for w in iter_bits(fresh):
-            if not seen >> w & 1:
-                seen |= 1 << w
-                frontier.append(w)
+        seen |= fresh
+        frontier.extend(iter_bits(fresh))
     return seen == (1 << g.n) - 1
-
-
-# A row with at least one set bit per this many binary digits is read by
-# scanning its digits at C speed; a sparser row walks its set bits.
-_DENSE_SPACING = 32
-_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _row_names(row: int, names: Sequence[str], start: int) -> Iterable[str]:
     """``names[start + i]`` for each set bit i of ``row``, ascending."""
-    width = row.bit_length()
-    if row.bit_count() * _DENSE_SPACING >= width:
-        flags = bin(row)[:1:-1].encode().translate(_BIT_FLAGS)
-        return compress(names[start : start + width], flags)
+    if _is_dense(row):
+        return compress(names[start : start + row.bit_length()], _bit_flags(row))
     return [names[start + i] for i in iter_bits(row)]
 
 

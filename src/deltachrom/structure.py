@@ -74,11 +74,8 @@ def extra_edge_set(factors: Sequence[Graph]) -> list[tuple[int, int]]:
 
 def delta_of_product(factors: Sequence[Graph]) -> DeltaProductDecomposition:
     """Assemble the full decomposition for the given factors."""
-    fs = list(factors)
-    if not fs:
-        raise ValueError("at least one factor required")
-    product, index = cartesian_product(fs)
-    deltas = [delta_complement(g) for g in fs]
+    product, index = cartesian_product(factors)
+    deltas = [delta_complement(g) for g in factors]
     product_of_deltas, _ = cartesian_product(deltas)
     return DeltaProductDecomposition(
         product=product,

@@ -321,27 +321,23 @@ def check_degree_diff(opts: dict) -> Rows:
     universe = []
     for spec in degree_diff_universe(max_product):
         g = generate(spec)
-        universe.append((spec, g, degree_difference_set(g)))
-    chi_d_cache: dict[str, ChromaticResult] = {}
-    product_cache: dict[frozenset, ChromaticResult] = {}
-
-    def chi_d_of(spec: FamilySpec, g: Graph) -> ChromaticResult:
-        key = format_spec(spec)
-        if key not in chi_d_cache:
-            chi_d_cache[key] = chi_delta(g, timeout=timeout)
-        return chi_d_cache[key]
-
-    for spec_g, g, diffs_g in universe:
-        for spec_h, h, diffs_h in universe:
+        universe.append((format_spec(spec), g, degree_difference_set(g)))
+    # One solve per product of equal factor graphs, whatever their names
+    # (P2 = K2 = S1,1). The count keeps the pair (K2, K2) apart from K2
+    # alone; a product keeps the factor order of the pair that first met it.
+    solved: dict[tuple[frozenset, int], ChromaticResult] = {}
+    for name_g, g, diffs_g in universe:
+        for name_h, h, diffs_h in universe:
             if g.n * h.n > max_product or diffs_g & diffs_h:
                 continue  # too large, or not an instance of the bound
-            key = frozenset((format_spec(spec_g), format_spec(spec_h)))
-            if key not in product_cache:
-                product, _ = cartesian_product([g, h])
-                product_cache[key] = chi_delta(product, timeout=timeout)
-            chi_d_prod = product_cache[key]
-            chi_d_g = chi_d_of(spec_g, g)
-            params = {"G": format_spec(spec_g), "H": format_spec(spec_h)}
+            results = []
+            for factors in ((g, h), (g,)):
+                key = (frozenset(factors), len(factors))
+                if key not in solved:
+                    solved[key] = chi_delta(cartesian_product(factors)[0], timeout=timeout)
+                results.append(solved[key])
+            chi_d_prod, chi_d_g = results
+            params = {"G": name_g, "H": name_h}
             cut = _cut_short(params, "<= n_max(H)*max(chi_delta(G),m(H))", chi_d_prod, chi_d_g)
             if cut:
                 yield cut

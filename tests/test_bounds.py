@@ -91,7 +91,7 @@ class TestNgBounds:
         assert product.hypothesis_met and product.holds
         assert total.hypothesis_met and total.holds
         # both ends are tight here: 5 <= 9 = ((1+5)/2)^2 and 6 = 1+5
-        assert product.params["n_max"] == 5
+        assert product.lhs == 5  # n_max
         assert total.detail.endswith("6 <= 6")
 
     def test_p5(self):

@@ -35,7 +35,7 @@ from _oracles import (
     reference_to_dot,
     reference_to_json,
 )
-from strategies import graphs, wide_graphs
+from strategies import dense_graphs, graphs, wide_graphs
 
 
 class TestConstruction:
@@ -365,6 +365,37 @@ class TestWritersMatchReference:
         assert to_json(g) == reference_to_json(g)
         assert to_dot(g, one_based=True) == reference_to_dot(g, one_based=True)
         assert_writers_match_reference(product)
+
+
+def naive_edges(g):
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+
+
+class TestEdges:
+    """``edges()`` against an ordered scan of every vertex pair."""
+
+    @given(wide_graphs() | dense_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_rows(self, g):
+        assert g.edges() == naive_edges(g)
+
+    @pytest.mark.parametrize("leaves", [7, 8])
+    @pytest.mark.parametrize("gap", [1, 4])
+    def test_either_side_of_the_dense_rule(self, leaves, gap):
+        # vertex 0 sees every gap-th vertex: 7 set bits are walked, 8 are
+        # scanned as digits
+        g = Graph(leaves * gap + 1, [(0, gap * i) for i in range(1, leaves + 1)])
+        assert g.edges() == naive_edges(g)
+
+    def test_sparse_grid_rows(self):
+        # after the shift a P40 x P40 row holds 2 set bits in 40 digits
+        product, _ = cartesian_product([path_graph(40), path_graph(40)])
+        assert product.edges() == naive_edges(product)
+
+    def test_product_delta(self):
+        product, _ = cartesian_product([path_graph(30), path_graph(30)])
+        g = delta_complement(product)
+        assert g.edges() == naive_edges(g)
 
 
 class TestConnectivity:

@@ -156,6 +156,33 @@ class TestRowsFollowTheTable:
         assert run_check(check_id, opts)[0].status == "fail"
 
 
+class TestDegreeDiff:
+    def test_each_graph_pair_is_solved_once(self, monkeypatch):
+        import deltachrom.verification as verification
+
+        calls = []
+        original = verification.chi_delta
+
+        def counted(g, **kwargs):
+            calls.append(g)
+            return original(g, **kwargs)
+
+        monkeypatch.setattr(verification, "chi_delta", counted)
+        rows = run_check("degree-diff", {"max": 12})
+        assert len(rows) == 321
+        # P1 = K1, P2 = K2 = S1,1 and C3 = K3 are one graph each, and so is
+        # every product of them, whichever name each factor has
+        assert len(calls) == 111
+        assert not [r for r in rows if r.status != "pass"]
+
+    def test_a_square_is_not_its_side(self):
+        # the pair (K2, K2) must not share a solve with K2 alone
+        rows = run_check("degree-diff", {"max": 4})
+        by_pair = {(r.params["G"], r.params["H"]): r for r in rows}
+        for pair in (("P2", "K2"), ("K2", "K2"), ("P2", "S1,1")):
+            assert by_pair[pair].computed == "2"  # chi_delta(C4)
+
+
 class TestRowStamps:
     def test_every_row_has_its_check_id_and_seconds(self):
         start = time.perf_counter()
