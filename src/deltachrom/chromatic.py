@@ -1,14 +1,20 @@
 """Exact chromatic number engine with certified lower and upper bounds.
 
-Strategy: a branch-and-bound maximum clique gives the lower bound, a
-DSATUR coloring the upper bound. When they agree the value is certified
-by the sandwich alone; otherwise a k-colorability backtracking search
+Strategy, in order: a DSATUR coloring gives the upper bound. For
+``chi_delta`` a class clique comes next: inside a degree class D of G,
+delta(G) is the complement of G[D], so an independent set of G[D] is a
+clique of delta(G); when G[D] is bipartite, König–Egerváry gives a
+maximum one from a maximum matching. When that clique meets DSATUR's
+palette, the sandwich certifies the value and nothing else runs.
+Otherwise a branch-and-bound maximum clique gives the lower bound, and
+when it falls short of the palette a k-colorability backtracking search
 (most-constrained vertex first, forward checking over bitmask color
 domains, color symmetry broken by pinning a maximum clique to colors
 0..|clique|-1) decides each k from the lower bound upward. Both
 searches keep their own stack, so no interpreter setting depends on the
-graph size, and both read the clock at every node, so the deadline is
-the one stopping rule and a solve overruns it by at most one node's work.
+graph size. They read the clock at every node, and the matching at
+every augmenting search, so the deadline is the one stopping rule and a
+solve overruns it by at most one step's work.
 
 Everything is deterministic: ties break toward the lowest vertex id and
 colors are tried in increasing order, so the same graph always yields
@@ -20,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import Graph, degree_masks, delta_complement, iter_bits
 
@@ -232,6 +238,115 @@ def dsatur_upper(g: Graph) -> Coloring:
     return Coloring(tuple(colors), palette)
 
 
+def bipartite_independent_set(
+    g: Graph, mask: int, deadline: float = math.inf
+) -> int | None:
+    """A maximum independent set of g[mask], as a mask, when g[mask] is
+    bipartite; None when it is not.
+
+    Breadth-first mask sweeps 2-colour each component, left taking the
+    even layers; an edge inside one layer is an odd cycle. A maximum
+    matching grows by one augmenting search from each left vertex, and
+    the clock is read once per search; past the deadline it raises
+    ``SolverTimeout``. By König–Egerváry, with Z the vertices that
+    alternating paths reach from the unmatched left vertices,
+    (left ∩ Z) ∪ (right ∖ Z) is independent and has |mask| − ν vertices.
+    """
+    adj = g._adj
+    left = 0
+    rest = mask
+    while rest:
+        frontier = seen = rest & -rest
+        even = True
+        while frontier:
+            if even:
+                left |= frontier
+            reach = 0
+            for v in iter_bits(frontier):
+                reach |= adj[v]
+            if reach & frontier:
+                return None
+            frontier = reach & mask & ~seen
+            seen |= frontier
+            even = not even
+        rest &= ~seen
+    right = mask & ~left
+
+    mate: dict[int, int] = {}
+    free_right = right
+    free_left = 0  # a left vertex no augmenting search matched stays free
+    for u in iter_bits(left):
+        if time.monotonic() > deadline:
+            raise SolverTimeout
+        # breadth-first over alternating paths; parent[y] reached right y
+        parent: dict[int, int] = {}
+        frontier_left = [u]
+        seen = end = 0
+        while frontier_left and not end:
+            reached = []
+            for x in frontier_left:
+                new = adj[x] & right & ~seen
+                if hit := new & free_right:
+                    end = hit & -hit
+                    parent[end.bit_length() - 1] = x
+                    break
+                seen |= new
+                for y in iter_bits(new):
+                    parent[y] = x
+                    reached.append(mate[y])
+            frontier_left = reached
+        if end:
+            free_right ^= end
+            y = end.bit_length() - 1
+            while y >= 0:
+                x = parent[y]
+                y_next = mate.get(x, -1)
+                mate[x], mate[y] = y, x
+                y = y_next
+        else:
+            free_left |= 1 << u
+
+    z_left = frontier = free_left
+    z_right = 0
+    while frontier:
+        reach = 0
+        for v in iter_bits(frontier):
+            reach |= adj[v]
+        reach &= right & ~z_right
+        z_right |= reach
+        frontier = sum(1 << mate[y] for y in iter_bits(reach))
+        z_left |= frontier
+    return (left & z_left) | (right & ~z_right)
+
+
+def class_clique(
+    g: Graph, deadline: float = math.inf, target: int = 0
+) -> tuple[int, ...]:
+    """A clique of ``delta_complement(g)`` from a bipartite degree class of g.
+
+    Inside a degree class D, delta(g) is the complement of g[D], so an
+    independent set of g[D] is a clique of delta(g). Classes are tried
+    largest first (ties in the order of their lowest vertex) while one
+    could beat the best set so far, and a class whose g[D] is not
+    bipartite is skipped. With a ``target``, a class smaller than it is
+    not tried and the first set that reaches it is returned. Past the
+    deadline the result is empty.
+    """
+    best = size = 0
+    try:
+        for mask in sorted(degree_masks(g).values(), key=int.bit_count, reverse=True):
+            if mask.bit_count() <= size or mask.bit_count() < target:
+                break
+            found = bipartite_independent_set(g, mask, deadline)
+            if found is not None and found.bit_count() > size:
+                best, size = found, found.bit_count()
+                if target and size >= target:
+                    break
+    except SolverTimeout:
+        return ()
+    return tuple(iter_bits(best))
+
+
 def _k_coloring_search(
     g: Graph, k: int, clique: tuple[int, ...], deadline: float
 ) -> tuple[int, ...] | None:
@@ -344,23 +459,38 @@ class ChromaticResult:
         }
 
 
-def chromatic_number(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
+def chromatic_number(
+    g: Graph,
+    timeout: float = DEFAULT_TIMEOUT,
+    known_clique: Callable[[int, float], tuple[int, ...]] | None = None,
+) -> ChromaticResult:
     """Exact chromatic number with a proper witness coloring.
 
-    Runs the clique/DSATUR sandwich first; any remaining gap is closed
+    Runs the DSATUR/clique sandwich first; any remaining gap is closed
     by deciding k-colorability for k from the clique bound upward. On
     timeout the result is flagged inexact and carries the certified
     bracket plus the best proper coloring found.
+
+    ``known_clique(palette, deadline)``, when given, is asked for a
+    clique of g of DSATUR's palette size. One it returns of that size is
+    re-checked and closes the solve without the clique search; any other
+    answer is dropped and the clique search runs as without it.
     """
     start = time.perf_counter()
     deadline = time.monotonic() + timeout
-    cl = max_clique_lower(g, deadline)
     witness = dsatur_upper(g)
-    lower, upper = cl.size, witness.palette_size
+    upper = witness.palette_size
+    clique = known_clique(upper, deadline) if known_clique else ()
+    if clique and len(clique) == upper:
+        if not is_clique(g, clique):
+            raise RuntimeError("internal error: clique verification failed")
+    else:
+        clique = max_clique_lower(g, deadline).vertices
+    lower = len(clique)
     method = "sandwich" if lower == upper else "branch-and-bound"
     try:
         while lower < upper:
-            solution = _k_coloring_search(g, lower, cl.vertices, deadline)
+            solution = _k_coloring_search(g, lower, clique, deadline)
             if solution is None:
                 lower += 1
             else:
@@ -368,7 +498,7 @@ def chromatic_number(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticRes
     except SolverTimeout:
         pass
     return ChromaticResult(
-        lower, upper, witness, cl.vertices, method, time.perf_counter() - start
+        lower, upper, witness, clique, method, time.perf_counter() - start
     )
 
 
@@ -421,5 +551,15 @@ def _oracle_colorable(nbrs: list[tuple[int, ...]], k: int) -> bool:
 
 
 def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
-    """Chromatic number of the delta-complement of g."""
-    return chromatic_number(delta_complement(g), timeout=timeout)
+    """Chromatic number of the delta-complement of g.
+
+    The solve is ``chromatic_number``'s, with the class clique of g (see
+    ``class_clique``) offered in place of the clique search: it closes
+    the solve when it meets DSATUR's palette, and otherwise the clique
+    search and the k-search run as on any graph.
+    """
+    return chromatic_number(
+        delta_complement(g),
+        timeout=timeout,
+        known_clique=lambda palette, deadline: class_clique(g, deadline, palette),
+    )

@@ -338,12 +338,19 @@ def check_degree_diff(opts: dict) -> Rows:
                 results.append(solved[key])
             chi_d_prod, chi_d_g = results
             params = {"G": name_g, "H": name_h}
-            cut = _cut_short(params, "<= n_max(H)*max(chi_delta(G),m(H))", chi_d_prod, chi_d_g)
-            if cut:
-                yield cut
-                continue
-            chk = upper_degree_diff_check(g, h, chi_d_g.chi, chi_d_prod.chi)
-            yield _report(params, f"<= {chk.rhs}", chk.lhs, chk.holds)
+            # A cut-short solve still decides the row from its bracket: the
+            # bound holds if the product's upper end meets it at chi_delta(G)'s
+            # lower end, and fails if the product's lower end exceeds it at
+            # chi_delta(G)'s upper end. Only a bracket across the bound is a skip.
+            chk = upper_degree_diff_check(g, h, chi_d_g.lower, chi_d_prod.upper)
+            if not chk.holds and not (chi_d_g.exact and chi_d_prod.exact):
+                chk = upper_degree_diff_check(g, h, chi_d_g.upper, chi_d_prod.lower)
+                if chk.holds:
+                    yield _cut_short(params, "<= n_max(H)*max(chi_delta(G),m(H))",
+                                     chi_d_prod, chi_d_g)
+                    continue
+            computed = chk.lhs if chi_d_prod.exact else f"[{chi_d_prod.lower},{chi_d_prod.upper}]"
+            yield _report(params, f"<= {chk.rhs}", computed, chk.holds)
 
 
 _CHECKS: dict[str, Callable[[dict], Rows]] = {

@@ -167,6 +167,30 @@ def brute_clique_number(g: Graph) -> int:
     return 0
 
 
+def brute_is_bipartite(g: Graph, vertices) -> bool:
+    """Some split of the vertices into two sides leaves no edge inside a
+    side; intended for at most 12 vertices."""
+    vs = sorted(vertices)
+    assert len(vs) <= 12
+    edges = [(a, b) for a, b in combinations(vs, 2) if g.has_edge(a, b)]
+    for sides in iproduct((0, 1), repeat=len(vs)):
+        side = dict(zip(vs, sides))
+        if all(side[a] != side[b] for a, b in edges):
+            return True
+    return False
+
+
+def brute_independence_number(g: Graph, vertices) -> int:
+    """Largest pairwise non-adjacent subset by descending exhaustive search."""
+    vs = sorted(vertices)
+    assert len(vs) <= 16
+    for size in range(len(vs), 0, -1):
+        for candidate in combinations(vs, size):
+            if not any(g.has_edge(a, b) for a, b in combinations(candidate, 2)):
+                return size
+    return 0
+
+
 def exhaustive_chromatic(g: Graph) -> int:
     """Minimum k over all k^n assignments; intended for at most 6 vertices."""
     assert g.n <= 6

@@ -16,6 +16,7 @@ from deltachrom import (
     cartesian_product,
     chi_delta,
     chromatic_number,
+    class_clique,
     complement,
     delta_complement,
     dsatur_upper,
@@ -25,6 +26,8 @@ from deltachrom import (
     oracle_chromatic,
 )
 from deltachrom import chromatic
+from deltachrom.bounds import formula_chi_delta
+from deltachrom.chromatic import bipartite_independent_set
 from deltachrom.families import (
     complete_graph,
     cycle_graph,
@@ -35,9 +38,12 @@ from deltachrom.families import (
     star_graph,
     wheel_graph,
 )
+from deltachrom.graphs import degree_masks, iter_bits
 
 from _oracles import (
     brute_clique_number,
+    brute_independence_number,
+    brute_is_bipartite,
     exhaustive_chromatic,
     pairwise_is_clique,
     reference_dsatur,
@@ -58,6 +64,16 @@ class FakeClock:
     def __call__(self):
         self.reads += 1
         return -1.0 if self.reads <= self.budget else 1.0
+
+
+def on_fake_clock(monkeypatch, budget, call):
+    """call() with the solver's clock replaced by a FakeClock of the
+    budget, and the number of clock reads it made."""
+    clock = FakeClock(budget)
+    with monkeypatch.context() as m:
+        m.setattr(chromatic, "time",
+                  SimpleNamespace(monotonic=clock, perf_counter=time.perf_counter))
+        return call(), clock.reads
 
 
 def clique_on_fake_clock(monkeypatch, g, budget=float("inf")):
@@ -436,3 +452,110 @@ class TestChiDelta:
         assert set(payload) == {"chi", "lower", "upper", "exact", "witness", "method", "ms"}
         assert payload["chi"] == 5 and payload["exact"] is True
         assert len(payload["witness"]) == 9
+
+
+def term_graph(term: str) -> Graph:
+    return generate(parse_spec(term))
+
+
+class TestClassClique:
+    @given(graphs(max_n=12))
+    @settings(max_examples=80, deadline=None)
+    def test_is_a_clique_of_the_delta_complement(self, g):
+        clique = class_clique(g)
+        d = delta_complement(g)
+        assert is_clique(d, clique) and pairwise_is_clique(d, clique)
+        assert len(clique) <= oracle_chromatic(d)
+
+    @given(graphs(max_n=12))
+    @settings(max_examples=80, deadline=None)
+    def test_koenig_set_is_a_maximum_independent_set(self, g):
+        # every bipartite class gives alpha(g[D]); the class clique is the
+        # largest of them
+        sizes = [0]
+        for mask in degree_masks(g).values():
+            found = bipartite_independent_set(g, mask)
+            vertices = list(iter_bits(mask))
+            assert (found is not None) == brute_is_bipartite(g, vertices)
+            if found is not None:
+                assert found & ~mask == 0
+                assert found.bit_count() == brute_independence_number(g, vertices)
+                assert brute_independence_number(g, iter_bits(found)) == found.bit_count()
+                sizes.append(found.bit_count())
+        assert len(class_clique(g)) == max(sizes)
+
+    @pytest.mark.parametrize("term,searches", [
+        ("X(P6,P7)", 10), ("X(S1,5,P9)", 20), ("X(S1,4,S1,6)", 24), ("C8", 4),
+    ])
+    def test_reads_the_clock_once_per_augmenting_search(self, monkeypatch, term, searches):
+        # the largest class is tried first, is bipartite and reaches the
+        # target: the interior 4 x 5 grid, five paths P7, 24 pairwise
+        # non-adjacent leaf pairs, and the whole even cycle. One search
+        # starts at each left vertex.
+        g = term_graph(term)
+        chi = formula_chi_delta(parse_spec(term)).value
+        clique, reads = on_fake_clock(monkeypatch, float("inf"),
+                                      lambda: class_clique(g, deadline=0.0, target=chi))
+        assert reads == searches and len(clique) == chi
+        # without a target the next class is tried too when it is larger
+        # than the clique so far: the 18 side vertices, four paths with
+        # 10 left vertices
+        if term == "X(P6,P7)":
+            _, reads = on_fake_clock(monkeypatch, float("inf"),
+                                     lambda: class_clique(g, deadline=0.0))
+            assert reads == searches + 10
+
+    @pytest.mark.parametrize("term", ["X(P6,P7)", "X(S1,5,P9)", "X(S1,4,S1,6)", "C8"])
+    def test_past_the_deadline_it_is_empty(self, monkeypatch, term):
+        g = term_graph(term)
+        clique, reads = on_fake_clock(monkeypatch, 0, lambda: class_clique(g, deadline=0.0))
+        assert (clique, reads) == ((), 1)
+
+    @pytest.mark.parametrize("term", ["X(P6,P7)", "X(S1,5,P9)", "X(C9,P3)"])
+    def test_expired_deadline_solves_as_before(self, monkeypatch, term):
+        # the first read sets the deadline and every later one is past it:
+        # the class clique is empty, and chi_delta returns the bracket and
+        # the one-vertex clique of the clique search cut at its first node
+        g = term_graph(term)
+        d = delta_complement(g)
+        before, _ = on_fake_clock(monkeypatch, 1, lambda: chromatic_number(d, timeout=1.0))
+        after, _ = on_fake_clock(monkeypatch, 1, lambda: chi_delta(g, timeout=1.0))
+        assert (after.lower, after.upper, after.clique, after.witness) == (
+            before.lower, before.upper, before.clique, before.witness)
+        assert after.clique == (0,) and not after.exact
+        assert after.upper == dsatur_upper(d).palette_size
+
+    @pytest.mark.parametrize("term", ["X(P12,P15)", "X(S1,5,P9)", "X(S1,4,S1,6)"])
+    def test_bipartite_solves_skip_the_clique_search(self, monkeypatch, term):
+        g = term_graph(term)
+        d = delta_complement(g)
+        before = chromatic_number(d)
+
+        def no_clique_search(*args, **kwargs):
+            raise AssertionError("the clique search ran")
+
+        monkeypatch.setattr(chromatic, "max_clique_lower", no_clique_search)
+        result = chi_delta(g)
+        assert result.exact and result.method == "sandwich"
+        assert result.chi == formula_chi_delta(parse_spec(term)).value
+        assert result.witness == before.witness
+        assert is_clique(d, result.clique) and len(result.clique) == result.chi
+
+    @given(graphs(max_n=10))
+    @settings(max_examples=80, deadline=None)
+    def test_same_solve_as_without_the_class_clique(self, g):
+        # the class clique changes at most which clique certifies a sandwich
+        d = delta_complement(g)
+        with_class, without = chi_delta(g), chromatic_number(d)
+        assert (with_class.lower, with_class.upper, with_class.witness, with_class.method) == (
+            without.lower, without.upper, without.witness, without.method)
+        assert len(with_class.clique) == len(without.clique)
+        assert is_clique(d, with_class.clique)
+
+    def test_a_false_clique_is_refused(self):
+        # vertices 0..9 of delta(P6 x P7) hold 1 and 2, neighbours on a
+        # side of the grid: one degree class, so not adjacent in delta
+        g = delta_complement(term_graph("X(P6,P7)"))
+        assert dsatur_upper(g).palette_size == 10 and not g.has_edge(1, 2)
+        with pytest.raises(RuntimeError):
+            chromatic_number(g, known_clique=lambda k, deadline: tuple(range(k)))

@@ -183,6 +183,58 @@ class TestDegreeDiff:
             assert by_pair[pair].computed == "2"  # chi_delta(C4)
 
 
+def degree_diff_rows(monkeypatch, solve_big, max_product=60):
+    """degree-diff rows over the cycles C5, C11 and C12 alone, with every
+    product of 55 or more vertices solved by ``solve_big(graph)``."""
+    import deltachrom.verification as verification
+    from deltachrom.families import cycle_spec
+
+    original = verification.chi_delta
+
+    def solve(g, timeout):
+        return solve_big(g) if g.n >= 55 else original(g, timeout=timeout)
+
+    monkeypatch.setattr(verification, "degree_diff_universe",
+                        lambda max_product: [cycle_spec(n) for n in (5, 11, 12)])
+    monkeypatch.setattr(verification, "chi_delta", solve)
+    rows = run_check("degree-diff", {"max": max_product})
+    return {(r.params["G"], r.params["H"]): r for r in rows}
+
+
+class TestDegreeDiffBrackets:
+    def test_a_cut_short_solve_decides_from_its_bracket(self, monkeypatch):
+        # the tori C5 x C11 and C5 x C12 have DSATUR brackets [.., 30] and
+        # [.., 32]; chi_delta of C5, C11 and C12 is 3, 6 and 6, so the
+        # bounds are 11*3 = 33, 5*6 = 30, 12*3 = 36 and 5*6 = 30
+        from deltachrom.chromatic import chi_delta
+
+        by_pair = degree_diff_rows(monkeypatch, lambda g: chi_delta(g, timeout=0.0))
+        assert set(by_pair) == {("C5", "C5"), ("C5", "C11"), ("C11", "C5"),
+                                ("C5", "C12"), ("C12", "C5")}
+        for pair, bound, upper in [(("C5", "C11"), 33, 30), (("C11", "C5"), 30, 30),
+                                   (("C5", "C12"), 36, 32)]:
+            row = by_pair[pair]
+            assert (row.status, row.inexact, row.expected) == ("pass", False, f"<= {bound}")
+            assert row.computed.startswith("[") and row.computed.endswith(f",{upper}]")
+        row = by_pair[("C12", "C5")]
+        assert (row.status, row.inexact) == ("skip", True)
+        assert row.computed.startswith("inexact [") and row.computed.endswith(",32]")
+        assert by_pair[("C5", "C5")].status == "pass"
+
+    def test_a_bracket_above_the_bound_fails(self, monkeypatch):
+        from deltachrom.chromatic import ChromaticResult, Coloring
+
+        def above(g):
+            return ChromaticResult(37, 40, Coloring((0,) * g.n, 40), (), "branch-and-bound", 0.0)
+
+        by_pair = degree_diff_rows(monkeypatch, above)
+        for pair, bound in [(("C5", "C11"), 33), (("C11", "C5"), 30), (("C5", "C12"), 36),
+                            (("C12", "C5"), 30)]:
+            row = by_pair[pair]
+            assert (row.status, row.inexact) == ("fail", False)
+            assert (row.expected, row.computed) == (f"<= {bound}", "[37,40]")
+
+
 class TestRowStamps:
     def test_every_row_has_its_check_id_and_seconds(self):
         start = time.perf_counter()

@@ -22,7 +22,7 @@ GOLDEN = {
     ("verify", "all", "--fmt", "csv"): (
         0, "fa7e084236b7ed1086f94cb0bd3fe12fe5d89d19aba4afb4c8803d52e0405739"),
     ("verify", "all", "--timeout", "0"): (
-        3, "ec9f56f23cc8283e8aab386e7ff9f77df7bbdbe983a03d88afe4df55f81034f3"),
+        3, "a174de289103bafe59bc93408f28b466eb413310a445d51967aecc341b6e8f8d"),
     ("verify", "all", "--trials", "5", "--max", "12"): (
         0, "d64f3534aac94b3f378271a141ee85531034c0260d6c06e7328c7dfd10b9d6d2"),
 }
