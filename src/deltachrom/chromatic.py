@@ -278,7 +278,8 @@ def bipartite_independent_set(
     for u in iter_bits(left):
         if time.monotonic() > deadline:
             raise SolverTimeout
-        # breadth-first over alternating paths; parent[y] reached right y
+        # breadth-first over alternating paths from u; parent[y] is the
+        # left vertex the search reached right vertex y from
         parent: dict[int, int] = {}
         frontier_left = [u]
         seen = end = 0
