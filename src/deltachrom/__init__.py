@@ -38,6 +38,7 @@ from .chromatic import (
     Coloring,
     chi_delta,
     chromatic_number,
+    class_bound,
     class_clique,
     dsatur_upper,
     is_clique,

@@ -6,15 +6,20 @@ delta(G) is the complement of G[D], so an independent set of G[D] is a
 clique of delta(G); when G[D] is bipartite, König–Egerváry gives a
 maximum one from a maximum matching. When that clique meets DSATUR's
 palette, the sandwich certifies the value and nothing else runs.
-Otherwise a branch-and-bound maximum clique gives the lower bound, and
-when it falls short of the palette a k-colorability backtracking search
-(most-constrained vertex first, forward checking over bitmask color
-domains, color symmetry broken by pinning a maximum clique to colors
-0..|clique|-1) decides each k from the lower bound upward. Both
-searches keep their own stack, so no interpreter setting depends on the
-graph size. They read the clock at every node, and the matching at
-every augmenting search, so the deadline is the one stopping rule and a
-solve overruns it by at most one step's work.
+Otherwise a branch-and-bound maximum clique gives the lower bound; it
+stops at the first clique of the palette's size, which is maximum since
+omega <= chi <= palette. When the clique falls short of the palette,
+``chi_delta`` adds the class bound: a color class of delta(G) meets a
+degree class D in a clique of G[D], which lies in one component C of
+G[D], so when G[D] is triangle-free chi >= sum over C of ceil(|C|/2).
+A k-colorability backtracking search (most-constrained vertex first,
+forward checking over bitmask color domains, color symmetry broken by
+pinning a maximum clique to colors 0..|clique|-1) then decides each k
+from the larger of the two bounds upward. Both searches keep their own
+stack, so no interpreter setting depends on the graph size. They read
+the clock at every node, the matching at every augmenting search and
+the class bound at every class, so the deadline is the one stopping
+rule and a solve overruns it by at most one step's work.
 
 Everything is deterministic: ties break toward the lowest vertex id and
 colors are tried in increasing order, so the same graph always yields
@@ -85,11 +90,16 @@ class CliqueResult:
     complete: bool  # False when the deadline passed before the search ended
 
 
-def max_clique_lower(g: Graph, deadline: float = math.inf) -> CliqueResult:
+def max_clique_lower(
+    g: Graph, deadline: float = math.inf, target: int = 0
+) -> CliqueResult:
     """Branch-and-bound maximum clique with greedy-coloring pruning.
 
-    The clock (``time.monotonic``) is read once per search node. When
-    the search ends before the deadline the result is the maximum
+    A ``target`` of at least the clique number, such as a proper
+    coloring's palette, ends the search at the first clique of that
+    size: no larger one exists, so it is the clique the full search ends
+    with. The clock (``time.monotonic``) is read once per search node.
+    When the search ends before the deadline the result is the maximum
     clique. Otherwise it has ``complete=False`` and is the larger of the
     best clique found so far and the open branch path, whose vertices
     are pairwise adjacent too; the path counts from two vertices on,
@@ -153,6 +163,8 @@ def max_clique_lower(g: Graph, deadline: float = math.inf) -> CliqueResult:
             rmask, rsize = rmask | vb, rsize + 1
         elif rsize + 1 > best_size:
             best_size, best_mask = rsize + 1, rmask | vb
+            if best_size == target:
+                break
 
     if not best_size:
         # stopped before the first leaf on a path of at most one vertex;
@@ -320,14 +332,24 @@ def bipartite_independent_set(
     return (left & z_left) | (right & ~z_right)
 
 
+def _largest_first(same: dict[int, int]) -> list[int]:
+    """The class masks of ``degree_masks``, largest first, ties in the
+    order of their lowest vertex."""
+    return sorted(same.values(), key=int.bit_count, reverse=True)
+
+
 def class_clique(
-    g: Graph, deadline: float = math.inf, target: int = 0
+    g: Graph,
+    deadline: float = math.inf,
+    target: int = 0,
+    classes: Sequence[int] | None = None,
 ) -> tuple[int, ...]:
     """A clique of ``delta_complement(g)`` from a bipartite degree class of g.
 
     Inside a degree class D, delta(g) is the complement of g[D], so an
     independent set of g[D] is a clique of delta(g). Classes are tried
-    largest first (ties in the order of their lowest vertex) while one
+    largest first (ties in the order of their lowest vertex; a caller
+    that has them in that order passes them as ``classes``) while one
     could beat the best set so far, and a class whose g[D] is not
     bipartite is skipped. With a ``target``, a class smaller than it is
     not tried and the first set that reaches it is returned. Past the
@@ -335,7 +357,7 @@ def class_clique(
     """
     best = size = 0
     try:
-        for mask in sorted(degree_masks(g).values(), key=int.bit_count, reverse=True):
+        for mask in classes or _largest_first(degree_masks(g)):
             if mask.bit_count() <= size or mask.bit_count() < target:
                 break
             found = bipartite_independent_set(g, mask, deadline)
@@ -346,6 +368,58 @@ def class_clique(
     except SolverTimeout:
         return ()
     return tuple(iter_bits(best))
+
+
+def class_bound(
+    g: Graph, deadline: float = math.inf, classes: Sequence[int] | None = None
+) -> tuple[int, int]:
+    """A lower bound on chi(delta_complement(g)) from a triangle-free
+    degree class of g, and the mask of that class.
+
+    Inside a degree class D, delta(g) is the complement of g[D], so a
+    color class of delta(g) meets D in a clique of g[D], and the clique
+    lies in one component C of g[D]. When g[D] is triangle-free the
+    clique has at most two vertices, so chi >= sum over C of
+    ceil(|C|/2). Breadth-first mask sweeps find the components and test
+    each row of g[D] for an edge inside it. Classes are taken largest
+    first, as in ``class_clique``, and the sweep stops at one no larger
+    than the best bound so far, since a class bounds chi by at most |D|.
+    The clock is read once per class; past the deadline, or when no
+    class is triangle-free, the result is (0, 0).
+    """
+    best = best_mask = 0
+    for mask in classes or _largest_first(degree_masks(g)):
+        if mask.bit_count() <= best:
+            break
+        if time.monotonic() > deadline:
+            return 0, 0
+        bound = _pair_cover_bound(g, mask)
+        if bound > best:
+            best, best_mask = bound, mask
+    return best, best_mask
+
+
+def _pair_cover_bound(g: Graph, mask: int) -> int:
+    """Sum of ceil(|C|/2) over the components C of g[mask]; 0 when
+    g[mask] holds a triangle."""
+    adj = g._adj
+    bound = 0
+    rest = mask
+    while rest:
+        frontier = seen = rest & -rest
+        while frontier:
+            reach = 0
+            for v in iter_bits(frontier):
+                row = adj[v] & mask
+                for u in iter_bits(row):
+                    if adj[u] & row:
+                        return 0
+                reach |= row
+            frontier = reach & ~seen
+            seen |= frontier
+        bound += (seen.bit_count() + 1) // 2
+        rest &= ~seen
+    return bound
 
 
 def _k_coloring_search(
@@ -423,10 +497,14 @@ def _k_coloring_search(
 class ChromaticResult:
     """Outcome of an exact chromatic number computation.
 
-    ``witness`` is a proper coloring with ``upper`` colors, ``clique``
-    is a clique, and the search refuted every k from ``len(clique)`` to
-    ``lower - 1``, so chi lies in [lower, upper]. The result is exact
-    when the two meet; when the deadline passed first, ``chi`` is None.
+    ``witness`` is a proper coloring with ``upper`` colors and
+    ``clique`` is a clique. ``lower`` starts at the larger of
+    ``len(clique)`` and, for ``chi_delta``, the class bound, and each k
+    the search refutes raises it by one, so chi lies in [lower, upper].
+    ``bound_class`` is the mask of the degree class whose bound raised
+    ``lower`` above ``len(clique)``, 0 when none did. The result is
+    exact when the two ends meet; when the deadline passed first,
+    ``chi`` is None.
     """
 
     lower: int
@@ -435,6 +513,7 @@ class ChromaticResult:
     clique: tuple[int, ...]
     method: str  # "sandwich" | "branch-and-bound"
     elapsed: float
+    bound_class: int = 0
 
     @property
     def exact(self) -> bool:
@@ -464,6 +543,7 @@ def chromatic_number(
     g: Graph,
     timeout: float = DEFAULT_TIMEOUT,
     known_clique: Callable[[int, float], tuple[int, ...]] | None = None,
+    known_bound: Callable[[float], tuple[int, int]] | None = None,
 ) -> ChromaticResult:
     """Exact chromatic number with a proper witness coloring.
 
@@ -476,6 +556,9 @@ def chromatic_number(
     clique of g of DSATUR's palette size. One it returns of that size is
     re-checked and closes the solve without the clique search; any other
     answer is dropped and the clique search runs as without it.
+    ``known_bound(deadline)``, when given, is asked for a lower bound on
+    chi and its certificate when the clique falls short of the palette;
+    the k-search starts at the larger of the bound and the clique size.
     """
     start = time.perf_counter()
     deadline = time.monotonic() + timeout
@@ -486,9 +569,16 @@ def chromatic_number(
         if not is_clique(g, clique):
             raise RuntimeError("internal error: clique verification failed")
     else:
-        clique = max_clique_lower(g, deadline).vertices
+        clique = max_clique_lower(g, deadline, target=upper).vertices
     lower = len(clique)
     method = "sandwich" if lower == upper else "branch-and-bound"
+    bound_class = 0
+    if known_bound and lower < upper:
+        bound, mask = known_bound(deadline)
+        if bound > upper:
+            raise RuntimeError("internal error: lower bound above a proper coloring")
+        if bound > lower:
+            lower, bound_class = bound, mask
     try:
         while lower < upper:
             solution = _k_coloring_search(g, lower, clique, deadline)
@@ -499,7 +589,7 @@ def chromatic_number(
     except SolverTimeout:
         pass
     return ChromaticResult(
-        lower, upper, witness, clique, method, time.perf_counter() - start
+        lower, upper, witness, clique, method, time.perf_counter() - start, bound_class
     )
 
 
@@ -556,11 +646,16 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
 
     The solve is ``chromatic_number``'s, with the class clique of g (see
     ``class_clique``) offered in place of the clique search: it closes
-    the solve when it meets DSATUR's palette, and otherwise the clique
-    search and the k-search run as on any graph.
+    the solve when it meets DSATUR's palette. Otherwise the clique
+    search runs as on any graph, and the k-search starts at the larger
+    of its clique and the class bound of g (see ``class_bound``). The
+    degree classes of g are found once and shared by all three.
     """
+    same = degree_masks(g)
+    classes = _largest_first(same)
     return chromatic_number(
-        delta_complement(g),
+        delta_complement(g, same),
         timeout=timeout,
-        known_clique=lambda palette, deadline: class_clique(g, deadline, palette),
+        known_clique=lambda palette, deadline: class_clique(g, deadline, palette, classes),
+        known_bound=lambda deadline: class_bound(g, deadline, classes),
     )

@@ -154,15 +154,17 @@ def complement(g: Graph) -> Graph:
     return Graph._from_masks(g.n, masks)
 
 
-def delta_complement(g: Graph) -> Graph:
+def delta_complement(g: Graph, same: dict[int, int] | None = None) -> Graph:
     """Flip adjacency inside each degree class, keep it across classes.
 
     Edge rule: uv is an edge of the result iff either d(u) = d(v) and uv
     is a non-edge of g, or d(u) != d(v) and uv is an edge of g, with
-    degrees measured in g.
+    degrees measured in g. ``same`` is ``degree_masks(g)`` when the
+    caller already has it.
     """
     full = (1 << g.n) - 1
-    same = degree_masks(g)
+    if same is None:
+        same = degree_masks(g)
     masks = []
     for v in range(g.n):
         s = same[g._adj[v].bit_count()]

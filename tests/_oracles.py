@@ -191,6 +191,37 @@ def brute_independence_number(g: Graph, vertices) -> int:
     return 0
 
 
+def brute_clique_cover_number(g: Graph, vertices) -> int:
+    """Fewest cliques of g that partition the vertices, by exhaustive
+    search: each vertex in turn joins an earlier group that it is
+    adjacent to throughout, or opens a new one, and a partial cover with
+    as many groups as the best full one is dropped; intended for at most
+    12 vertices."""
+    vs = sorted(vertices)
+    assert len(vs) <= 12
+    best = len(vs)
+
+    def place(i: int, groups: list[list[int]]) -> None:
+        nonlocal best
+        if len(groups) >= best:
+            return
+        if i == len(vs):
+            best = len(groups)
+            return
+        v = vs[i]
+        for group in groups:
+            if all(g.has_edge(v, u) for u in group):
+                group.append(v)
+                place(i + 1, groups)
+                group.pop()
+        groups.append([v])
+        place(i + 1, groups)
+        groups.pop()
+
+    place(0, [])
+    return best
+
+
 def exhaustive_chromatic(g: Graph) -> int:
     """Minimum k over all k^n assignments; intended for at most 6 vertices."""
     assert g.n <= 6

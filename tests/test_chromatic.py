@@ -16,6 +16,7 @@ from deltachrom import (
     cartesian_product,
     chi_delta,
     chromatic_number,
+    class_bound,
     class_clique,
     complement,
     delta_complement,
@@ -41,12 +42,14 @@ from deltachrom.families import (
 from deltachrom.graphs import degree_masks, iter_bits
 
 from _oracles import (
+    brute_clique_cover_number,
     brute_clique_number,
     brute_independence_number,
     brute_is_bipartite,
     exhaustive_chromatic,
     pairwise_is_clique,
     reference_dsatur,
+    reference_induced_subgraph,
     reference_is_proper,
 )
 from strategies import dense_graphs, graphs, wide_graphs
@@ -247,6 +250,30 @@ class TestMaxClique:
         assert result.complete
         assert result.size == brute_clique_number(g)
 
+    @given(st.one_of(graphs(max_n=12), dense_graphs(max_n=40)))
+    @settings(max_examples=80, deadline=None)
+    def test_palette_target_stops_on_the_same_clique(self, g):
+        # omega <= chi <= palette, so a clique of the palette's size is
+        # the last one the full search would find
+        full = max_clique_lower(g)
+        stopped = max_clique_lower(g, target=dsatur_upper(g).palette_size)
+        assert stopped == full and stopped.complete
+
+    def test_palette_target_ends_the_search_early(self, monkeypatch):
+        # delta(K4 x C13) holds a 13-clique that DSATUR's 13 colors match:
+        # the search stops on the first path down, one node per vertex,
+        # where the full search reads the clock 43 291 times to prove it
+        # maximum
+        g = delta_complement(term_graph("X(K4,C13)"))
+        palette = dsatur_upper(g).palette_size
+        assert palette == 13
+        clock = FakeClock()
+        with monkeypatch.context() as m:
+            m.setattr(chromatic, "time", SimpleNamespace(monotonic=clock))
+            stopped = max_clique_lower(g, deadline=0.0, target=palette)
+        assert stopped.size == 13 and stopped.complete
+        assert clock.reads == 13 and is_clique(g, stopped.vertices)
+
 
 class TestDsatur:
     def test_edgeless(self):
@@ -359,7 +386,7 @@ class TestChromaticNumber:
         g = delta_complement(product)
         cut, _ = clique_on_fake_clock(monkeypatch, g, budget)
         assert cut == CliqueResult(1, (0,), False)
-        monkeypatch.setattr(chromatic, "max_clique_lower", lambda g, deadline: cut)
+        monkeypatch.setattr(chromatic, "max_clique_lower", lambda g, deadline, target: cut)
         result = chromatic_number(g)
         assert result.exact and result.chi == 2 * ((n + 1) // 2)
         assert result.clique == (0,) and result.method == "branch-and-bound"
@@ -511,18 +538,19 @@ class TestClassClique:
         clique, reads = on_fake_clock(monkeypatch, 0, lambda: class_clique(g, deadline=0.0))
         assert (clique, reads) == ((), 1)
 
-    @pytest.mark.parametrize("term", ["X(P6,P7)", "X(S1,5,P9)", "X(C9,P3)"])
+    @pytest.mark.parametrize("term", ["X(P6,P7)", "X(S1,5,P9)", "X(C9,P3)", "X(C5,C7)", "W9"])
     def test_expired_deadline_solves_as_before(self, monkeypatch, term):
         # the first read sets the deadline and every later one is past it:
-        # the class clique is empty, and chi_delta returns the bracket and
-        # the one-vertex clique of the clique search cut at its first node
+        # the class clique is empty, the class bound is 0, and chi_delta
+        # returns the bracket and the one-vertex clique of the clique
+        # search cut at its first node
         g = term_graph(term)
         d = delta_complement(g)
         before, _ = on_fake_clock(monkeypatch, 1, lambda: chromatic_number(d, timeout=1.0))
         after, _ = on_fake_clock(monkeypatch, 1, lambda: chi_delta(g, timeout=1.0))
         assert (after.lower, after.upper, after.clique, after.witness) == (
             before.lower, before.upper, before.clique, before.witness)
-        assert after.clique == (0,) and not after.exact
+        assert after.clique == (0,) and not after.exact and after.bound_class == 0
         assert after.upper == dsatur_upper(d).palette_size
 
     @pytest.mark.parametrize("term", ["X(P12,P15)", "X(S1,5,P9)", "X(S1,4,S1,6)"])
@@ -559,3 +587,77 @@ class TestClassClique:
         assert dsatur_upper(g).palette_size == 10 and not g.has_edge(1, 2)
         with pytest.raises(RuntimeError):
             chromatic_number(g, known_clique=lambda k, deadline: tuple(range(k)))
+
+
+def counted_k_searches(monkeypatch):
+    """The k of every _k_coloring_search call made while the patch holds."""
+    ks = []
+    search = chromatic._k_coloring_search
+
+    def counted(g, k, clique, deadline):
+        ks.append(k)
+        return search(g, k, clique, deadline)
+
+    monkeypatch.setattr(chromatic, "_k_coloring_search", counted)
+    return ks
+
+
+class TestClassBound:
+    @given(graphs(max_n=12))
+    @settings(max_examples=80, deadline=None)
+    def test_is_a_lower_bound_with_its_class(self, g):
+        # each triangle-free class bounds chi from below by at most its
+        # clique-cover number, and the result is the largest of them
+        d = delta_complement(g)
+        bound, mask = class_bound(g)
+        assert bound <= oracle_chromatic(d)
+        per_class = [0]
+        for klass in degree_masks(g).values():
+            vertices = list(iter_bits(klass))
+            alone, cert = class_bound(g, classes=[klass])
+            triangle_free = brute_clique_number(reference_induced_subgraph(g, vertices)) <= 2
+            assert (alone > 0) == triangle_free
+            assert cert == (klass if alone else 0)
+            assert (len(vertices) + 1) // 2 * triangle_free <= alone
+            assert alone <= brute_clique_cover_number(g, vertices)
+            per_class.append(alone)
+        assert bound == max(per_class)
+        assert mask == 0 if bound == 0 else class_bound(g, classes=[mask]) == (bound, mask)
+
+    @pytest.mark.parametrize("term,bound,ks", [
+        ("X(C5,C7)", 18, [18]), ("X(P9,C5)", 18, [18]), ("X(C4,C9)", 18, [18]),
+        ("X(C9,S1,5)", 25, []), ("X(C5,S1,6)", 18, []), ("W9", 5, [5]),
+    ])
+    def test_the_k_search_starts_at_the_bound(self, monkeypatch, term, bound, ks):
+        # the tori and X(P9,C5) are decided by the one call at chi; the
+        # star products' bound meets DSATUR's palette. W9's rim C9 gives
+        # 5, no more than its clique, and chi is 6, so k = 5 is refuted
+        g = term_graph(term)
+        d = delta_complement(g)
+        calls = counted_k_searches(monkeypatch)
+        result = chi_delta(g)
+        assert calls == ks and result.exact and result.method == "branch-and-bound"
+        got, mask = class_bound(g)
+        assert got == bound
+        assert result.bound_class == (mask if bound > len(result.clique) else 0)
+        without = chromatic_number(d)
+        assert (result.chi, result.witness, result.clique) == (
+            without.chi, without.witness, without.clique)
+
+    def test_a_cut_search_keeps_the_bound_and_its_class(self, monkeypatch):
+        # the one component C35 of X(C5,C7) gives 18 and no k is decided
+        g = term_graph("X(C5,C7)")
+
+        def no_search(*args):
+            raise chromatic.SolverTimeout
+
+        monkeypatch.setattr(chromatic, "_k_coloring_search", no_search)
+        result = chi_delta(g)
+        assert (result.lower, result.bound_class) == (18, (1 << 35) - 1)
+        assert not result.exact and result.clique_lower < 18
+        assert result.to_json_dict()["lower"] == 18
+
+    @pytest.mark.parametrize("term", ["X(C5,C7)", "W9", "X(P9,C5)"])
+    def test_past_the_deadline_it_is_zero(self, monkeypatch, term):
+        g = term_graph(term)
+        assert on_fake_clock(monkeypatch, 0, lambda: class_bound(g, deadline=0.0)) == ((0, 0), 1)
