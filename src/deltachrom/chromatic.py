@@ -13,9 +13,13 @@ omega <= chi <= palette. When the clique falls short of the palette,
 degree class D in a clique of G[D], which lies in one component C of
 G[D], so when G[D] is triangle-free chi >= sum over C of ceil(|C|/2).
 A k-colorability backtracking search (most-constrained vertex first,
-forward checking over bitmask color domains, color symmetry broken by
-pinning a maximum clique to colors 0..|clique|-1) then decides each k
-from the larger of the two bounds upward. Both searches keep their own
+color symmetry broken by pinning a maximum clique to colors
+0..|clique|-1) then decides each k from the larger of the two bounds
+upward. It keeps its domains as whole-graph masks: per color, the
+vertices that may still take it, and each vertex's number of colors
+left in bit-sliced counts, so a step is a few mask operations and no
+loop over vertices. Each coloring it finds is re-checked to be proper
+before it becomes the witness. Both searches keep their own
 stack, so no interpreter setting depends on the graph size. They read
 the clock at every node, the matching at every augmenting search and
 the class bound at every class, so the deadline is the one stopping
@@ -427,68 +431,93 @@ def _k_coloring_search(
 ) -> tuple[int, ...] | None:
     """Find a proper k-coloring or prove none exists.
 
-    Forward checking over per-vertex color-domain bitmasks, branching on
-    the open vertex with the fewest colors left (ties to the lowest id).
-    Only the first unused color may open a new color class, which prunes
-    nothing but palette permutations. The clique, of at most k vertices,
-    is pinned to colors 0..|clique|-1. The clock is read once per step;
-    past the deadline the search raises ``SolverTimeout``.
+    Branches on the open vertex with the fewest colors left, ties to the
+    lowest id, and tries its colors in increasing order. Only the first
+    unused color may open a new color class, which prunes nothing but
+    palette permutations. The clique, of at most k vertices, is pinned
+    to colors 0..|clique|-1. The clock is read once per step; past the
+    deadline the search raises ``SolverTimeout``.
+
+    The domains are kept as whole-graph masks, with no loop over
+    vertices: ``can[c]`` holds the vertices that may still take color c,
+    and the number of colors an open vertex has left is bit-sliced over
+    ``planes``, as DSATUR's saturations are. Coloring v with c takes the
+    neighbours ``adj[v] & can[c]`` out of ``can[c]`` and one from the
+    counts of the open ones by a ripple borrow; an open neighbour with
+    one color left is a wipe-out, found before anything changes. A
+    backtrack puts the same mask back and adds the one back by a ripple
+    carry, so each frame keeps one mask. The choice narrows the open
+    mask plane by plane from the highest bit down and takes the lowest
+    set bit that is left.
     """
     n = g.n
     adj = g._adj
-    avail = [(1 << k) - 1] * n
-    colors = [-1] * n
     free = (1 << n) - 1
+    can = [free] * k
+    planes = [free if k >> j & 1 else 0 for j in range(k.bit_length())]
+    colors = [-1] * n
 
-    def assign(v: int, c: int) -> list[int] | None:
-        # remove c from the open neighbours' domains; None on a wipe-out
-        bit = 1 << c
-        touched: list[int] = []
-        for u in iter_bits(adj[v] & free):
-            if avail[u] & bit:
-                avail[u] ^= bit
-                touched.append(u)
-                if not avail[u]:
-                    for w in touched:
-                        avail[w] |= bit
-                    return None
+    def assign(v: int, c: int) -> int | None:
+        # take v's neighbours out of can[c]; None on a wipe-out
+        removed = adj[v] & can[c]
+        borrow = removed & free
+        several = 0
+        for plane in planes[1:]:
+            several |= plane
+        if borrow & ~several:
+            return None
+        can[c] ^= removed
+        for j, plane in enumerate(planes):
+            if not borrow:
+                break
+            planes[j] = plane ^ borrow
+            borrow &= ~plane
         colors[v] = c
-        return touched
+        return removed
 
     for i, v in enumerate(clique):
         if assign(v, i) is None:
             return None
         free ^= 1 << v
 
-    # one frame per colored vertex: (vertex, colors left to try, used
-    # before it, neighbours whose domain it narrowed)
-    stack: list[tuple[int, int, int, list[int]]] = []
+    # one frame per colored vertex: (vertex, its color, colors used
+    # before it, the neighbours it took out of that color's mask)
+    stack: list[tuple[int, int, int, int]] = []
     used = len(clique)
     while True:
         if time.monotonic() > deadline:
             raise SolverTimeout
         if not free:
             return tuple(colors)
-        v = min(iter_bits(free), key=lambda u: avail[u].bit_count())
-        cand = avail[v] & ((1 << min(k, used + 1)) - 1)
+        cand = free
+        for plane in reversed(planes):
+            if narrowed := cand & ~plane:
+                cand = narrowed
+        v = (cand & -cand).bit_length() - 1
+        c = 0
         while True:
-            if cand:
-                low = cand & -cand
-                cand ^= low
-                c = low.bit_length() - 1
-                touched = assign(v, c)
-                if touched is not None:
-                    stack.append((v, cand, used, touched))
+            top = min(k, used + 1)
+            while c < top and not can[c] >> v & 1:
+                c += 1
+            if c < top:
+                removed = assign(v, c)
+                if removed is not None:
+                    stack.append((v, c, used, removed))
                     free ^= 1 << v
                     used = max(used, c + 1)
                     break
+                c += 1
             elif stack:
-                v, cand, used, touched = stack.pop()
-                bit = 1 << colors[v]
-                for u in touched:
-                    avail[u] |= bit
-                colors[v] = -1
+                v, c, used, removed = stack.pop()
                 free |= 1 << v
+                can[c] |= removed
+                carry = removed & free
+                for j, plane in enumerate(planes):
+                    if not carry:
+                        break
+                    planes[j] = plane ^ carry
+                    carry &= plane
+                c += 1
             else:
                 return None
 
@@ -548,9 +577,10 @@ def chromatic_number(
     """Exact chromatic number with a proper witness coloring.
 
     Runs the DSATUR/clique sandwich first; any remaining gap is closed
-    by deciding k-colorability for k from the clique bound upward. On
-    timeout the result is flagged inexact and carries the certified
-    bracket plus the best proper coloring found.
+    by deciding k-colorability for k from the clique bound upward; each
+    coloring the search finds is re-checked with ``is_proper`` before it
+    becomes the witness. On timeout the result is flagged inexact and
+    carries the certified bracket plus the best proper coloring found.
 
     ``known_clique(palette, deadline)``, when given, is asked for a
     clique of g of DSATUR's palette size. One it returns of that size is
@@ -585,7 +615,10 @@ def chromatic_number(
             if solution is None:
                 lower += 1
             else:
-                witness, upper = Coloring(solution, lower), lower
+                found = Coloring(solution, lower)
+                if not is_proper(g, found):
+                    raise RuntimeError("internal error: witness verification failed")
+                witness, upper = found, lower
     except SolverTimeout:
         pass
     return ChromaticResult(

@@ -8,9 +8,12 @@ they check. Sizes are tiny; clarity beats speed.
 from __future__ import annotations
 
 import json
+import math
+import time
 from itertools import combinations, permutations, product as iproduct
 
 from deltachrom import Coloring, Graph
+from deltachrom.chromatic import SolverTimeout
 
 
 def naive_delta_edges(g: Graph) -> set[tuple[int, int]]:
@@ -254,3 +257,76 @@ def reference_dsatur(g: Graph) -> Coloring:
         for w in g.neighbors(v):
             neighbor_colors[w].add(c)
     return Coloring(tuple(colors), max(colors, default=-1) + 1)
+
+
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_k_search(g: Graph, k: int, clique, deadline: float = math.inf):
+    """The k-colouring search as it was with per-vertex colour domains:
+    forward checking over one bitmask of colours per vertex, branching on
+    the open vertex with the fewest colours left (ties to the lowest id),
+    colours tried in increasing order, only the first unused colour may
+    open a new class, and the clique pinned to colours 0..|clique|-1.
+    Returns the colour tuple, or None when no k-colouring exists."""
+    n = g.n
+    adj = [g.adjacency_mask(v) for v in range(n)]
+    avail = [(1 << k) - 1] * n
+    colors = [-1] * n
+    free = (1 << n) - 1
+
+    def assign(v: int, c: int) -> list[int] | None:
+        # remove c from the open neighbours' domains; None on a wipe-out
+        bit = 1 << c
+        touched: list[int] = []
+        for u in _iter_bits(adj[v] & free):
+            if avail[u] & bit:
+                avail[u] ^= bit
+                touched.append(u)
+                if not avail[u]:
+                    for w in touched:
+                        avail[w] |= bit
+                    return None
+        colors[v] = c
+        return touched
+
+    for i, v in enumerate(clique):
+        if assign(v, i) is None:
+            return None
+        free ^= 1 << v
+
+    # one frame per colored vertex: (vertex, colors left to try, used
+    # before it, neighbours whose domain it narrowed)
+    stack: list[tuple[int, int, int, list[int]]] = []
+    used = len(clique)
+    while True:
+        if time.monotonic() > deadline:
+            raise SolverTimeout
+        if not free:
+            return tuple(colors)
+        v = min(_iter_bits(free), key=lambda u: avail[u].bit_count())
+        cand = avail[v] & ((1 << min(k, used + 1)) - 1)
+        while True:
+            if cand:
+                low = cand & -cand
+                cand ^= low
+                c = low.bit_length() - 1
+                touched = assign(v, c)
+                if touched is not None:
+                    stack.append((v, cand, used, touched))
+                    free ^= 1 << v
+                    used = max(used, c + 1)
+                    break
+            elif stack:
+                v, cand, used, touched = stack.pop()
+                bit = 1 << colors[v]
+                for u in touched:
+                    avail[u] |= bit
+                colors[v] = -1
+                free |= 1 << v
+            else:
+                return None

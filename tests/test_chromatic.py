@@ -1,4 +1,5 @@
 import gc
+import math
 import subprocess
 import sys
 import time
@@ -51,6 +52,7 @@ from _oracles import (
     reference_dsatur,
     reference_induced_subgraph,
     reference_is_proper,
+    reference_k_search,
 )
 from strategies import dense_graphs, graphs, wide_graphs
 
@@ -661,3 +663,71 @@ class TestClassBound:
     def test_past_the_deadline_it_is_zero(self, monkeypatch, term):
         g = term_graph(term)
         assert on_fake_clock(monkeypatch, 0, lambda: class_bound(g, deadline=0.0)) == ((0, 0), 1)
+
+
+def k_search_on_fake_clock(monkeypatch, g, k, clique, budget=float("inf")):
+    """_k_coloring_search with a deadline that passes after ``budget``
+    clock reads, its result ("timeout" when the deadline stopped it) and
+    the number of reads it made."""
+
+    def call():
+        try:
+            return chromatic._k_coloring_search(g, k, clique, 0.0)
+        except chromatic.SolverTimeout:
+            return "timeout"
+
+    return on_fake_clock(monkeypatch, budget, call)
+
+
+def assert_same_k_search_as_reference(g):
+    # every k from the clique size up to DSATUR's palette, with the
+    # clique pinned as chromatic_number pins it
+    clique = max_clique_lower(g).vertices
+    chi = oracle_chromatic(g) if g.n <= chromatic.ORACLE_VERTEX_LIMIT else None
+    for k in range(len(clique), dsatur_upper(g).palette_size + 1):
+        got = chromatic._k_coloring_search(g, k, clique, math.inf)
+        assert got == reference_k_search(g, k, clique)
+        if got is not None:
+            assert is_proper(g, Coloring(got, k))
+        if chi is not None:
+            assert (got is None) == (k < chi)
+
+
+class TestKColoringSearch:
+    @given(graphs(max_n=12))
+    @settings(max_examples=120, deadline=None)
+    def test_same_answer_as_the_per_vertex_search(self, g):
+        assert_same_k_search_as_reference(g)
+
+    @given(dense_graphs(max_n=40))
+    @settings(max_examples=150, deadline=None)
+    def test_same_answer_on_dense_graphs(self, g):
+        assert_same_k_search_as_reference(g)
+
+    @pytest.mark.parametrize("budget", [0, 1, 17, 4917])
+    def test_stops_at_the_first_read_past_the_budget(self, monkeypatch, budget):
+        # the full search on delta(X(C5,C7)) at k = 18 takes 4918 steps
+        d = delta_complement(term_graph("X(C5,C7)"))
+        clique = max_clique_lower(d).vertices
+        assert k_search_on_fake_clock(monkeypatch, d, 18, clique, budget) == (
+            "timeout", budget + 1)
+
+    @pytest.mark.parametrize("term,k,steps,colorable", [
+        ("X(C5,C7)", 18, 4918, True), ("W9", 5, 4, False),
+    ])
+    def test_reads_the_clock_once_per_step(self, monkeypatch, term, k, steps, colorable):
+        # the step counts of the per-vertex search this one replaced: the
+        # same count means the same search tree
+        d = delta_complement(term_graph(term))
+        clique = max_clique_lower(d).vertices
+        result, reads = k_search_on_fake_clock(monkeypatch, d, k, clique)
+        assert reads == steps
+        assert (result is not None) == colorable
+        assert result == reference_k_search(d, k, clique)
+
+    def test_an_improper_coloring_is_refused(self, monkeypatch):
+        g = term_graph("X(C5,C7)")
+        monkeypatch.setattr(chromatic, "_k_coloring_search",
+                            lambda g, k, clique, deadline: (0,) * g.n)
+        with pytest.raises(RuntimeError, match="witness verification failed"):
+            chi_delta(g)
