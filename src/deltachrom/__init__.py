@@ -38,8 +38,7 @@ from .chromatic import (
     Coloring,
     chi_delta,
     chromatic_number,
-    class_bound,
-    class_clique,
+    class_certificates,
     dsatur_upper,
     is_clique,
     is_proper,
@@ -68,7 +67,6 @@ from .bounds import (
     degree_difference_set,
     formula_chi_delta,
     lemma_ceiling_check,
-    lower_max_factor_check,
     ng_bounds_check,
     upper_degree_diff_check,
 )

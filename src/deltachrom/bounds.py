@@ -155,20 +155,6 @@ def ng_bounds_check(g: Graph, chi: int, chi_d: int) -> tuple[BoundCheck, BoundCh
     return product, total
 
 
-def lower_max_factor_check(
-    chi_d_each: list[int], chi_d_product: int
-) -> BoundCheck:
-    """max over factor delta-chromatic numbers <= the product's value."""
-    lhs = max(chi_d_each) if chi_d_each else 0
-    return BoundCheck(
-        lhs=lhs,
-        rhs=chi_d_product,
-        holds=lhs <= chi_d_product,
-        hypothesis_met=True,
-        detail=f"max{tuple(chi_d_each)} <= {chi_d_product}",
-    )
-
-
 def upper_degree_diff_check(
     g: Graph, h: Graph, chi_d_g: int, chi_d_product: int
 ) -> BoundCheck:

@@ -1,29 +1,28 @@
 """Exact chromatic number engine with certified lower and upper bounds.
 
 Strategy, in order: a DSATUR coloring gives the upper bound. For
-``chi_delta`` a class clique comes next: inside a degree class D of G,
-delta(G) is the complement of G[D], so an independent set of G[D] is a
-clique of delta(G); when G[D] is bipartite, König–Egerváry gives a
-maximum one from a maximum matching. When that clique meets DSATUR's
-palette, the sandwich certifies the value and nothing else runs.
-Otherwise a branch-and-bound maximum clique gives the lower bound; it
-stops at the first clique of the palette's size, which is maximum since
-omega <= chi <= palette. When the clique falls short of the palette,
-``chi_delta`` adds the class bound: a color class of delta(G) meets a
-degree class D in a clique of G[D], which lies in one component C of
-G[D], so when G[D] is triangle-free chi >= sum over C of ceil(|C|/2).
-A k-colorability backtracking search (most-constrained vertex first,
-color symmetry broken by pinning a maximum clique to colors
-0..|clique|-1) then decides each k from the larger of the two bounds
-upward. It keeps its domains as whole-graph masks: per color, the
-vertices that may still take it, and each vertex's number of colors
-left in bit-sliced counts, so a step is a few mask operations and no
-loop over vertices. Each coloring it finds is re-checked to be proper
-before it becomes the witness. Both searches keep their own
-stack, so no interpreter setting depends on the graph size. They read
-the clock at every node, the matching at every augmenting search and
-the class bound at every class, so the deadline is the one stopping
-rule and a solve overruns it by at most one step's work.
+``chi_delta`` one pass over the degree classes of G comes next: inside
+a degree class D, delta(G) is the complement of G[D], and one
+breadth-first sweep of G[D] gives two certificates. When G[D] is
+bipartite, the larger colour side of each component is independent in
+G[D], so their union is a clique of delta(G); when it meets DSATUR's
+palette, the sandwich certifies the value and nothing else runs. When
+G[D] is triangle-free, a color class of delta(G) meets D in a clique of
+G[D], which lies in one component C of G[D], so chi >= sum over C of
+ceil(|C|/2). When no colour-side clique closes the solve, a
+branch-and-bound maximum clique gives the lower bound; it stops at the first clique of the palette's size, which is
+maximum since omega <= chi <= palette. A k-colorability backtracking
+search (most-constrained vertex first, color symmetry broken by pinning
+a maximum clique to colors 0..|clique|-1) then decides each k from the
+larger of the clique size and the class bound upward. It keeps its
+domains as whole-graph masks: per color, the vertices that may still
+take it, and each vertex's number of colors left in bit-sliced counts,
+so a step is a few mask operations and no loop over vertices. Each
+coloring it finds is re-checked to be proper before it becomes the
+witness. Both searches keep their own stack, so no interpreter setting
+depends on the graph size. They read the clock at every node and the
+class pass at every class, so the deadline is the one stopping rule and
+a solve overruns it by at most one step's work.
 
 Everything is deterministic: ties break toward the lowest vertex id and
 colors are tried in increasing order, so the same graph always yields
@@ -254,86 +253,44 @@ def dsatur_upper(g: Graph) -> Coloring:
     return Coloring(tuple(colors), palette)
 
 
-def bipartite_independent_set(
-    g: Graph, mask: int, deadline: float = math.inf
-) -> int | None:
-    """A maximum independent set of g[mask], as a mask, when g[mask] is
-    bipartite; None when it is not.
+def _class_sweep(g: Graph, mask: int) -> tuple[int | None, int]:
+    """The colour-side set and the pair-cover bound of g[mask].
 
-    Breadth-first mask sweeps 2-colour each component, left taking the
-    even layers; an edge inside one layer is an odd cycle. A maximum
-    matching grows by one augmenting search from each left vertex, and
-    the clock is read once per search; past the deadline it raises
-    ``SolverTimeout``. By König–Egerváry, with Z the vertices that
-    alternating paths reach from the unmatched left vertices,
-    (left ∩ Z) ∪ (right ∖ Z) is independent and has |mask| − ν vertices.
+    Breadth-first mask sweeps 2-colour each component C of g[mask] by
+    the parity of its layers. An edge inside a layer is an odd cycle,
+    and every triangle has one, so the triangle test looks only at the
+    edges inside a layer. When g[mask] is bipartite the set is the union
+    of the larger side of each component, the odd layers on a tie, and
+    is independent; otherwise it is None. When g[mask] is triangle-free
+    the bound is the sum over C of ceil(|C|/2); otherwise it is 0.
     """
     adj = g._adj
-    left = 0
+    sides = bound = 0
+    bipartite = True
     rest = mask
     while rest:
         frontier = seen = rest & -rest
-        even = True
+        layers = [0, 0]
+        parity = 0
         while frontier:
-            if even:
-                left |= frontier
+            layers[parity] |= frontier
             reach = 0
             for v in iter_bits(frontier):
                 reach |= adj[v]
-            if reach & frontier:
-                return None
+            if inner := reach & frontier:
+                bipartite = False
+                for v in iter_bits(inner):
+                    row = adj[v] & mask
+                    if any(adj[u] & row for u in iter_bits(row & inner)):
+                        return None, 0
             frontier = reach & mask & ~seen
             seen |= frontier
-            even = not even
+            parity ^= 1
+        bound += (seen.bit_count() + 1) // 2
+        even, odd = layers
+        sides |= even if even.bit_count() > odd.bit_count() else odd
         rest &= ~seen
-    right = mask & ~left
-
-    mate: dict[int, int] = {}
-    free_right = right
-    free_left = 0  # a left vertex no augmenting search matched stays free
-    for u in iter_bits(left):
-        if time.monotonic() > deadline:
-            raise SolverTimeout
-        # breadth-first over alternating paths from u; parent[y] is the
-        # left vertex the search reached right vertex y from
-        parent: dict[int, int] = {}
-        frontier_left = [u]
-        seen = end = 0
-        while frontier_left and not end:
-            reached = []
-            for x in frontier_left:
-                new = adj[x] & right & ~seen
-                if hit := new & free_right:
-                    end = hit & -hit
-                    parent[end.bit_length() - 1] = x
-                    break
-                seen |= new
-                for y in iter_bits(new):
-                    parent[y] = x
-                    reached.append(mate[y])
-            frontier_left = reached
-        if end:
-            free_right ^= end
-            y = end.bit_length() - 1
-            while y >= 0:
-                x = parent[y]
-                y_next = mate.get(x, -1)
-                mate[x], mate[y] = y, x
-                y = y_next
-        else:
-            free_left |= 1 << u
-
-    z_left = frontier = free_left
-    z_right = 0
-    while frontier:
-        reach = 0
-        for v in iter_bits(frontier):
-            reach |= adj[v]
-        reach &= right & ~z_right
-        z_right |= reach
-        frontier = sum(1 << mate[y] for y in iter_bits(reach))
-        z_left |= frontier
-    return (left & z_left) | (right & ~z_right)
+    return (sides if bipartite else None), bound
 
 
 def _largest_first(same: dict[int, int]) -> list[int]:
@@ -342,88 +299,40 @@ def _largest_first(same: dict[int, int]) -> list[int]:
     return sorted(same.values(), key=int.bit_count, reverse=True)
 
 
-def class_clique(
+def class_certificates(
     g: Graph,
+    palette: int,
     deadline: float = math.inf,
-    target: int = 0,
     classes: Sequence[int] | None = None,
-) -> tuple[int, ...]:
-    """A clique of ``delta_complement(g)`` from a bipartite degree class of g.
+) -> tuple[tuple[int, ...], int, int]:
+    """A clique of ``delta_complement(g)`` of ``palette`` vertices, or
+    (), and a lower bound on its chromatic number with the mask of the
+    degree class of g that gives it.
 
-    Inside a degree class D, delta(g) is the complement of g[D], so an
-    independent set of g[D] is a clique of delta(g). Classes are tried
-    largest first (ties in the order of their lowest vertex; a caller
-    that has them in that order passes them as ``classes``) while one
-    could beat the best set so far, and a class whose g[D] is not
-    bipartite is skipped. With a ``target``, a class smaller than it is
-    not tried and the first set that reaches it is returned. Past the
-    deadline the result is empty.
-    """
-    best = size = 0
-    try:
-        for mask in classes or _largest_first(degree_masks(g)):
-            if mask.bit_count() <= size or mask.bit_count() < target:
-                break
-            found = bipartite_independent_set(g, mask, deadline)
-            if found is not None and found.bit_count() > size:
-                best, size = found, found.bit_count()
-                if target and size >= target:
-                    break
-    except SolverTimeout:
-        return ()
-    return tuple(iter_bits(best))
-
-
-def class_bound(
-    g: Graph, deadline: float = math.inf, classes: Sequence[int] | None = None
-) -> tuple[int, int]:
-    """A lower bound on chi(delta_complement(g)) from a triangle-free
-    degree class of g, and the mask of that class.
-
-    Inside a degree class D, delta(g) is the complement of g[D], so a
-    color class of delta(g) meets D in a clique of g[D], and the clique
-    lies in one component C of g[D]. When g[D] is triangle-free the
-    clique has at most two vertices, so chi >= sum over C of
-    ceil(|C|/2). Breadth-first mask sweeps find the components and test
-    each row of g[D] for an edge inside it. Classes are taken largest
-    first, as in ``class_clique``, and the sweep stops at one no larger
-    than the best bound so far, since a class bounds chi by at most |D|.
-    The clock is read once per class; past the deadline, or when no
-    class is triangle-free, the result is (0, 0).
+    Inside a degree class D, delta(g) is the complement of g[D]. So an
+    independent set of g[D], such as its colour-side set, is a clique of
+    delta(g). A color class of delta(g) meets D in a clique of g[D],
+    which lies in one component of g[D], so the pair-cover bound of a
+    triangle-free g[D] bounds chi from below (see ``_class_sweep``).
+    Classes are swept largest first (ties in the order of their lowest
+    vertex; a caller that has them in that order passes them as
+    ``classes``) while one could still give a clique of the palette's
+    size or beat the best bound so far, since a class bounds chi by at
+    most |D|. The first colour-side set of ``palette`` vertices ends the
+    pass. The clock is read once per class; past the deadline the pass
+    ends with what it has.
     """
     best = best_mask = 0
     for mask in classes or _largest_first(degree_masks(g)):
-        if mask.bit_count() <= best:
+        size = mask.bit_count()
+        if size < palette and size <= best or time.monotonic() > deadline:
             break
-        if time.monotonic() > deadline:
-            return 0, 0
-        bound = _pair_cover_bound(g, mask)
+        sides, bound = _class_sweep(g, mask)
         if bound > best:
             best, best_mask = bound, mask
-    return best, best_mask
-
-
-def _pair_cover_bound(g: Graph, mask: int) -> int:
-    """Sum of ceil(|C|/2) over the components C of g[mask]; 0 when
-    g[mask] holds a triangle."""
-    adj = g._adj
-    bound = 0
-    rest = mask
-    while rest:
-        frontier = seen = rest & -rest
-        while frontier:
-            reach = 0
-            for v in iter_bits(frontier):
-                row = adj[v] & mask
-                for u in iter_bits(row):
-                    if adj[u] & row:
-                        return 0
-                reach |= row
-            frontier = reach & ~seen
-            seen |= frontier
-        bound += (seen.bit_count() + 1) // 2
-        rest &= ~seen
-    return bound
+        if sides is not None and sides.bit_count() == palette:
+            return tuple(iter_bits(sides)), best, best_mask
+    return (), best, best_mask
 
 
 def _k_coloring_search(
@@ -571,44 +480,41 @@ class ChromaticResult:
 def chromatic_number(
     g: Graph,
     timeout: float = DEFAULT_TIMEOUT,
-    known_clique: Callable[[int, float], tuple[int, ...]] | None = None,
-    known_bound: Callable[[float], tuple[int, int]] | None = None,
+    certificates: Callable[[int, float], tuple[tuple[int, ...], int, int]] | None = None,
 ) -> ChromaticResult:
     """Exact chromatic number with a proper witness coloring.
 
     Runs the DSATUR/clique sandwich first; any remaining gap is closed
-    by deciding k-colorability for k from the clique bound upward; each
+    by deciding k-colorability for k from the lower bound upward; each
     coloring the search finds is re-checked with ``is_proper`` before it
     becomes the witness. On timeout the result is flagged inexact and
     carries the certified bracket plus the best proper coloring found.
 
-    ``known_clique(palette, deadline)``, when given, is asked for a
-    clique of g of DSATUR's palette size. One it returns of that size is
-    re-checked and closes the solve without the clique search; any other
-    answer is dropped and the clique search runs as without it.
-    ``known_bound(deadline)``, when given, is asked for a lower bound on
-    chi and its certificate when the clique falls short of the palette;
-    the k-search starts at the larger of the bound and the clique size.
+    ``certificates(palette, deadline)``, when given, is asked once,
+    after DSATUR and before the clique search, for a clique of g of
+    DSATUR's palette size or (), a lower bound on chi and the mask that
+    certifies it. A clique it returns is re-checked and closes the solve
+    without the clique search; with none, the clique search runs as
+    without the hook. The k-search starts at the larger of the bound
+    and the clique size.
     """
     start = time.perf_counter()
     deadline = time.monotonic() + timeout
     witness = dsatur_upper(g)
     upper = witness.palette_size
-    clique = known_clique(upper, deadline) if known_clique else ()
-    if clique and len(clique) == upper:
-        if not is_clique(g, clique):
-            raise RuntimeError("internal error: clique verification failed")
-    else:
+    clique, bound, bound_class = certificates(upper, deadline) if certificates else ((), 0, 0)
+    if bound > upper:
+        raise RuntimeError("internal error: lower bound above a proper coloring")
+    if not clique:
         clique = max_clique_lower(g, deadline, target=upper).vertices
+    elif len(clique) != upper or not is_clique(g, clique):
+        raise RuntimeError("internal error: clique verification failed")
     lower = len(clique)
     method = "sandwich" if lower == upper else "branch-and-bound"
-    bound_class = 0
-    if known_bound and lower < upper:
-        bound, mask = known_bound(deadline)
-        if bound > upper:
-            raise RuntimeError("internal error: lower bound above a proper coloring")
-        if bound > lower:
-            lower, bound_class = bound, mask
+    if bound > lower:
+        lower = bound
+    else:
+        bound_class = 0
     try:
         while lower < upper:
             solution = _k_coloring_search(g, lower, clique, deadline)
@@ -677,18 +583,17 @@ def _oracle_colorable(nbrs: list[tuple[int, ...]], k: int) -> bool:
 def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
     """Chromatic number of the delta-complement of g.
 
-    The solve is ``chromatic_number``'s, with the class clique of g (see
-    ``class_clique``) offered in place of the clique search: it closes
-    the solve when it meets DSATUR's palette. Otherwise the clique
-    search runs as on any graph, and the k-search starts at the larger
-    of its clique and the class bound of g (see ``class_bound``). The
-    degree classes of g are found once and shared by all three.
+    The solve is ``chromatic_number``'s, with one pass over the degree
+    classes of g (see ``class_certificates``) as its certificate hook:
+    a colour-side clique of DSATUR's palette size closes the solve
+    without the clique search, and the k-search starts at the larger of
+    the clique and the class bound. The degree classes of g are found
+    once and shared with ``delta_complement``.
     """
     same = degree_masks(g)
     classes = _largest_first(same)
     return chromatic_number(
         delta_complement(g, same),
         timeout=timeout,
-        known_clique=lambda palette, deadline: class_clique(g, deadline, palette, classes),
-        known_bound=lambda deadline: class_bound(g, deadline, classes),
+        certificates=lambda palette, deadline: class_certificates(g, palette, deadline, classes),
     )

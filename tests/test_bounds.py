@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from deltachrom import (
@@ -7,7 +9,6 @@ from deltachrom import (
     degree_difference_set,
     formula_chi_delta,
     lemma_ceiling_check,
-    lower_max_factor_check,
     ng_bounds_check,
     parse_spec,
     upper_degree_diff_check,
@@ -17,6 +18,7 @@ from deltachrom.families import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_graph,
     star_graph,
 )
 
@@ -111,23 +113,31 @@ class TestNgBounds:
 
 
 class TestLowerMaxFactor:
+    """max(chi_delta(G), chi_delta(H)) <= chi_delta(G x H): each G-fibre
+    of G x H induces delta(G) in delta(G x H)."""
+
     def test_cycle_p3(self):
-        p3_delta = chi_delta(path_graph(3)).chi  # the 3-path flips to a triangle
-        check = lower_max_factor_check([5, p3_delta], 10)
-        assert check.holds and check.lhs == 5
+        product, _ = cartesian_product([cycle_graph(5), path_graph(3)])
+        # the 3-path flips to a triangle
+        assert chi_delta(path_graph(3)).chi == 3
+        assert max(chi_delta(cycle_graph(5)).chi, 3) <= chi_delta(product).chi == 6
 
     def test_identity_factor_equality(self):
+        product, _ = cartesian_product([complete_graph(1), star_graph(3)])
         value = chi_delta(star_graph(3)).chi
-        check = lower_max_factor_check([1, value], value)
-        assert check.holds and check.lhs == check.rhs
+        assert max(chi_delta(complete_graph(1)).chi, value) == chi_delta(product).chi == value
 
     def test_solver_backed_pair(self):
-        g, h = cycle_graph(5), path_graph(4)
-        product, _ = cartesian_product([g, h])
-        check = lower_max_factor_check(
-            [chi_delta(g).chi, chi_delta(h).chi], chi_delta(product).chi
-        )
-        assert check.holds
+        rng = random.Random(0)
+        pairs = [(cycle_graph(5), path_graph(4))] + [
+            (random_graph(rng.randint(2, 5), 0.5, rng), random_graph(rng.randint(2, 5), 0.5, rng))
+            for _ in range(6)
+        ]
+        for g, h in pairs:
+            product, _ = cartesian_product([g, h])
+            result = chi_delta(product)
+            assert result.exact
+            assert max(chi_delta(g).chi, chi_delta(h).chi) <= result.chi
 
 
 class TestUpperDegreeDiff:

@@ -17,8 +17,7 @@ from deltachrom import (
     cartesian_product,
     chi_delta,
     chromatic_number,
-    class_bound,
-    class_clique,
+    class_certificates,
     complement,
     delta_complement,
     dsatur_upper,
@@ -29,7 +28,6 @@ from deltachrom import (
 )
 from deltachrom import chromatic
 from deltachrom.bounds import formula_chi_delta
-from deltachrom.chromatic import bipartite_independent_set
 from deltachrom.families import (
     complete_graph,
     cycle_graph,
@@ -487,63 +485,67 @@ def term_graph(term: str) -> Graph:
     return generate(parse_spec(term))
 
 
+def palette_of(g: Graph) -> int:
+    return dsatur_upper(delta_complement(g)).palette_size
+
+
 class TestClassClique:
     @given(graphs(max_n=12))
     @settings(max_examples=80, deadline=None)
     def test_is_a_clique_of_the_delta_complement(self, g):
-        clique = class_clique(g)
+        # asked for DSATUR's palette or for chi, the pass returns a clique
+        # of exactly that size or none
         d = delta_complement(g)
-        assert is_clique(d, clique) and pairwise_is_clique(d, clique)
-        assert len(clique) <= oracle_chromatic(d)
+        chi = oracle_chromatic(d)
+        for palette in {dsatur_upper(d).palette_size, chi}:
+            clique, _, _ = class_certificates(g, palette)
+            assert len(clique) in (0, palette)
+            assert is_clique(d, clique) and pairwise_is_clique(d, clique)
+            assert len(clique) <= chi
 
     @given(graphs(max_n=12))
     @settings(max_examples=80, deadline=None)
-    def test_koenig_set_is_a_maximum_independent_set(self, g):
-        # every bipartite class gives alpha(g[D]); the class clique is the
-        # largest of them
-        sizes = [0]
+    def test_colour_sides_are_an_independent_set_within_alpha(self, g):
         for mask in degree_masks(g).values():
-            found = bipartite_independent_set(g, mask)
+            sides, bound = chromatic._class_sweep(g, mask)
             vertices = list(iter_bits(mask))
-            assert (found is not None) == brute_is_bipartite(g, vertices)
-            if found is not None:
-                assert found & ~mask == 0
-                assert found.bit_count() == brute_independence_number(g, vertices)
-                assert brute_independence_number(g, iter_bits(found)) == found.bit_count()
-                sizes.append(found.bit_count())
-        assert len(class_clique(g)) == max(sizes)
+            assert (sides is None) == (not brute_is_bipartite(g, vertices))
+            if sides is not None:
+                assert sides & ~mask == 0
+                assert brute_independence_number(g, iter_bits(sides)) == sides.bit_count()
+                assert bound <= sides.bit_count() <= brute_independence_number(g, vertices)
 
-    @pytest.mark.parametrize("term,searches", [
-        ("X(P6,P7)", 10), ("X(S1,5,P9)", 20), ("X(S1,4,S1,6)", 24), ("C8", 4),
+    @pytest.mark.parametrize("term,chi,closes,unreachable", [
+        ("X(P6,P7)", 10, True, 2), ("X(S1,5,P9)", 20, True, 1), ("X(S1,4,S1,6)", 24, True, 1),
+        ("C8", 4, True, 1), ("X(C6,P4)", 6, True, 2), ("X(C5,C7)", 18, False, 1),
     ])
-    def test_reads_the_clock_once_per_augmenting_search(self, monkeypatch, term, searches):
-        # the largest class is tried first, is bipartite and reaches the
-        # target: the interior 4 x 5 grid, five paths P7, 24 pairwise
-        # non-adjacent leaf pairs, and the whole even cycle. One search
-        # starts at each left vertex.
+    def test_reads_the_clock_once_per_class(self, monkeypatch, term, chi, closes, unreachable):
+        # asked for chi, the pass sweeps the largest class and stops: it
+        # bounds chi by chi, and but for the torus its colour sides reach
+        # it (the interior 4 x 5 grid, five paths P7, 24 pairwise
+        # non-adjacent leaf pairs, the whole even cycle and a C6 x P2
+        # ladder). A palette no set reaches sweeps each class larger than
+        # the bound so far: the 18 side vertices of X(P6,P7) and the
+        # other ladder of X(C6,P4) too, and no class after them
         g = term_graph(term)
-        chi = formula_chi_delta(parse_spec(term)).value
-        clique, reads = on_fake_clock(monkeypatch, float("inf"),
-                                      lambda: class_clique(g, deadline=0.0, target=chi))
-        assert reads == searches and len(clique) == chi
-        # without a target the next class is tried too when it is larger
-        # than the clique so far: the 18 side vertices, four paths with
-        # 10 left vertices
-        if term == "X(P6,P7)":
-            _, reads = on_fake_clock(monkeypatch, float("inf"),
-                                     lambda: class_clique(g, deadline=0.0))
-            assert reads == searches + 10
+        (clique, bound, _), reads = on_fake_clock(
+            monkeypatch, float("inf"), lambda: class_certificates(g, chi, deadline=0.0))
+        assert (len(clique), bound, reads) == (chi if closes else 0, chi, 1)
+        (clique, bound, _), reads = on_fake_clock(
+            monkeypatch, float("inf"), lambda: class_certificates(g, g.n + 1, deadline=0.0))
+        assert (clique, bound, reads) == ((), chi, unreachable)
 
     @pytest.mark.parametrize("term", ["X(P6,P7)", "X(S1,5,P9)", "X(S1,4,S1,6)", "C8"])
     def test_past_the_deadline_it_is_empty(self, monkeypatch, term):
         g = term_graph(term)
-        clique, reads = on_fake_clock(monkeypatch, 0, lambda: class_clique(g, deadline=0.0))
-        assert (clique, reads) == ((), 1)
+        result, reads = on_fake_clock(
+            monkeypatch, 0, lambda: class_certificates(g, palette_of(g), deadline=0.0))
+        assert (result, reads) == (((), 0, 0), 1)
 
     @pytest.mark.parametrize("term", ["X(P6,P7)", "X(S1,5,P9)", "X(C9,P3)", "X(C5,C7)", "W9"])
     def test_expired_deadline_solves_as_before(self, monkeypatch, term):
         # the first read sets the deadline and every later one is past it:
-        # the class clique is empty, the class bound is 0, and chi_delta
+        # the class pass ends before its first class, and chi_delta
         # returns the bracket and the one-vertex clique of the clique
         # search cut at its first node
         g = term_graph(term)
@@ -555,11 +557,17 @@ class TestClassClique:
         assert after.clique == (0,) and not after.exact and after.bound_class == 0
         assert after.upper == dsatur_upper(d).palette_size
 
-    @pytest.mark.parametrize("term", ["X(P12,P15)", "X(S1,5,P9)", "X(S1,4,S1,6)"])
+    @pytest.mark.parametrize("term", [
+        "X(P12,P15)", "X(S1,5,P9)", "X(S1,4,S1,6)",
+        # the corners of the grid workload's ranges
+        "X(P10,P40)", "X(P40,P40)", "X(S1,3,P5)", "X(S1,12,P40)", "X(S1,3,S1,20)",
+        "X(S1,20,S1,20)",
+        # components whose two sides tie
+        "P14", "X(C10,P3)",
+    ])
     def test_bipartite_solves_skip_the_clique_search(self, monkeypatch, term):
         g = term_graph(term)
         d = delta_complement(g)
-        before = chromatic_number(d)
 
         def no_clique_search(*args, **kwargs):
             raise AssertionError("the clique search ran")
@@ -568,13 +576,27 @@ class TestClassClique:
         result = chi_delta(g)
         assert result.exact and result.method == "sandwich"
         assert result.chi == formula_chi_delta(parse_spec(term)).value
-        assert result.witness == before.witness
+        assert result.witness == dsatur_upper(d)
         assert is_clique(d, result.clique) and len(result.clique) == result.chi
+
+    def test_a_class_of_the_palette_size_is_swept_after_the_bound_meets_it(self, monkeypatch):
+        # C5 plus three isolated vertices: delta is C5 plus K3 and the
+        # palette is 3. The C5 class comes first and bounds chi by 3; the
+        # isolated class, of 3 vertices, still gives the clique
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        assert palette_of(g) == 3
+
+        def no_clique_search(*args, **kwargs):
+            raise AssertionError("the clique search ran")
+
+        monkeypatch.setattr(chromatic, "max_clique_lower", no_clique_search)
+        result = chi_delta(g)
+        assert (result.chi, result.method, result.clique) == (3, "sandwich", (5, 6, 7))
 
     @given(graphs(max_n=10))
     @settings(max_examples=80, deadline=None)
     def test_same_solve_as_without_the_class_clique(self, g):
-        # the class clique changes at most which clique certifies a sandwich
+        # the class pass changes at most which clique certifies a sandwich
         d = delta_complement(g)
         with_class, without = chi_delta(g), chromatic_number(d)
         assert (with_class.lower, with_class.upper, with_class.witness, with_class.method) == (
@@ -587,8 +609,8 @@ class TestClassClique:
         # side of the grid: one degree class, so not adjacent in delta
         g = delta_complement(term_graph("X(P6,P7)"))
         assert dsatur_upper(g).palette_size == 10 and not g.has_edge(1, 2)
-        with pytest.raises(RuntimeError):
-            chromatic_number(g, known_clique=lambda k, deadline: tuple(range(k)))
+        with pytest.raises(RuntimeError, match="clique verification failed"):
+            chromatic_number(g, certificates=lambda k, deadline: (tuple(range(k)), 0, 0))
 
 
 def counted_k_searches(monkeypatch):
@@ -609,14 +631,16 @@ class TestClassBound:
     @settings(max_examples=80, deadline=None)
     def test_is_a_lower_bound_with_its_class(self, g):
         # each triangle-free class bounds chi from below by at most its
-        # clique-cover number, and the result is the largest of them
+        # clique-cover number, and the result is the largest of them; a
+        # palette of n + 1 vertices asks for the bound alone
         d = delta_complement(g)
-        bound, mask = class_bound(g)
-        assert bound <= oracle_chromatic(d)
+        clique, bound, mask = class_certificates(g, g.n + 1)
+        assert clique == () and bound <= oracle_chromatic(d)
         per_class = [0]
         for klass in degree_masks(g).values():
             vertices = list(iter_bits(klass))
-            alone, cert = class_bound(g, classes=[klass])
+            _, alone, cert = class_certificates(g, g.n + 1, classes=[klass])
+            assert alone == chromatic._class_sweep(g, klass)[1]
             triangle_free = brute_clique_number(reference_induced_subgraph(g, vertices)) <= 2
             assert (alone > 0) == triangle_free
             assert cert == (klass if alone else 0)
@@ -624,7 +648,8 @@ class TestClassBound:
             assert alone <= brute_clique_cover_number(g, vertices)
             per_class.append(alone)
         assert bound == max(per_class)
-        assert mask == 0 if bound == 0 else class_bound(g, classes=[mask]) == (bound, mask)
+        assert mask == 0 if bound == 0 else (
+            class_certificates(g, g.n + 1, classes=[mask]) == ((), bound, mask))
 
     @pytest.mark.parametrize("term,bound,ks", [
         ("X(C5,C7)", 18, [18]), ("X(P9,C5)", 18, [18]), ("X(C4,C9)", 18, [18]),
@@ -639,8 +664,8 @@ class TestClassBound:
         calls = counted_k_searches(monkeypatch)
         result = chi_delta(g)
         assert calls == ks and result.exact and result.method == "branch-and-bound"
-        got, mask = class_bound(g)
-        assert got == bound
+        clique, got, mask = class_certificates(g, palette_of(g))
+        assert clique == () and got == bound
         assert result.bound_class == (mask if bound > len(result.clique) else 0)
         without = chromatic_number(d)
         assert (result.chi, result.witness, result.clique) == (
@@ -659,10 +684,23 @@ class TestClassBound:
         assert not result.exact and result.clique_lower < 18
         assert result.to_json_dict()["lower"] == 18
 
+    def test_a_cut_clique_search_keeps_the_bound(self, monkeypatch):
+        # two reads in time: one sets the deadline and one lets the class
+        # pass sweep X(C5,C7)'s one class. The clique search stops at its
+        # first node and the k-search at its first step, so the bound is
+        # all the solve has, and it is kept
+        g = term_graph("X(C5,C7)")
+        result, reads = on_fake_clock(monkeypatch, 2, lambda: chi_delta(g, timeout=1.0))
+        assert (result.lower, result.upper) == (18, palette_of(g))
+        assert result.bound_class == (1 << 35) - 1 and result.clique == (0,)
+        assert reads == 4
+
     @pytest.mark.parametrize("term", ["X(C5,C7)", "W9", "X(P9,C5)"])
     def test_past_the_deadline_it_is_zero(self, monkeypatch, term):
         g = term_graph(term)
-        assert on_fake_clock(monkeypatch, 0, lambda: class_bound(g, deadline=0.0)) == ((0, 0), 1)
+        assert on_fake_clock(
+            monkeypatch, 0, lambda: class_certificates(g, palette_of(g), deadline=0.0)
+        ) == (((), 0, 0), 1)
 
 
 def k_search_on_fake_clock(monkeypatch, g, k, clique, budget=float("inf")):
