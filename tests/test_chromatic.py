@@ -562,7 +562,8 @@ class TestClassClique:
         # the corners of the grid workload's ranges
         "X(P10,P40)", "X(P40,P40)", "X(S1,3,P5)", "X(S1,12,P40)", "X(S1,3,S1,20)",
         "X(S1,20,S1,20)",
-        # components whose two sides tie
+        # components whose two sides tie; tests/test_solve_golden.py pins
+        # which side certifies them
         "P14", "X(C10,P3)",
     ])
     def test_bipartite_solves_skip_the_clique_search(self, monkeypatch, term):
@@ -611,6 +612,9 @@ class TestClassClique:
         assert dsatur_upper(g).palette_size == 10 and not g.has_edge(1, 2)
         with pytest.raises(RuntimeError, match="clique verification failed"):
             chromatic_number(g, certificates=lambda k, deadline: (tuple(range(k)), 0, 0))
+        # one vertex is a clique, but not of the palette's size
+        with pytest.raises(RuntimeError, match="clique verification failed"):
+            chromatic_number(g, certificates=lambda k, deadline: ((0,), 0, 0))
 
 
 def counted_k_searches(monkeypatch):
@@ -694,6 +698,11 @@ class TestClassBound:
         assert (result.lower, result.upper) == (18, palette_of(g))
         assert result.bound_class == (1 << 35) - 1 and result.clique == (0,)
         assert reads == 4
+
+    def test_a_bound_above_the_palette_is_refused(self):
+        d = delta_complement(term_graph("X(C5,C7)"))
+        with pytest.raises(RuntimeError, match="lower bound above a proper coloring"):
+            chromatic_number(d, certificates=lambda k, deadline: ((), k + 1, 1))
 
     @pytest.mark.parametrize("term", ["X(C5,C7)", "W9", "X(P9,C5)"])
     def test_past_the_deadline_it_is_zero(self, monkeypatch, term):
