@@ -31,6 +31,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .bounds import formula_chi_delta
 from .chromatic import DEFAULT_TIMEOUT, chi_delta
@@ -43,7 +44,7 @@ from .constructions import (
     star_star_coloring,
 )
 from .families import complete_graph, generate, join, parse_spec, path_graph
-from .graphs import delta_complement, from_json, json_edge_list, to_dot, to_json
+from .graphs import delta_complement, from_json, iter_dot, iter_json, iter_json_edge_list
 from .structure import delta_of_product, equality_holds
 from .verification import DEFAULT_SEED, check_ids, run_check
 
@@ -69,6 +70,15 @@ def _load_graph(term: str):
         return from_json(Path(term[1:]).read_text()), None
     spec = parse_spec(term)
     return generate(spec), spec
+
+
+def _stream(chunks: Iterable[str], end: str = "") -> None:
+    """Write each chunk to stdout as it comes, then ``end``: the text is
+    never held whole."""
+    write = sys.stdout.write
+    for chunk in chunks:
+        write(chunk)
+    write(end)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -125,9 +135,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.delta:
         graph = delta_complement(graph)
     if args.fmt == "json":
-        print(to_json(graph))
+        _stream(iter_json(graph), "\n")
     else:
-        print(to_dot(graph, one_based=args.one_based), end="")
+        _stream(iter_dot(graph, one_based=args.one_based))
     return EXIT_OK
 
 
@@ -140,7 +150,7 @@ def cmd_structure(args: argparse.Namespace) -> int:
     print(f"|S|                    = {dec.extra.edge_count()}")
     print(f"equality: {equality_holds(factors)}")
     if args.emit_s:
-        print(json_edge_list(dec.extra))
+        _stream(iter_json_edge_list(dec.extra), "\n")
     return EXIT_OK
 
 
@@ -194,7 +204,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     off = 1 if args.one_based else 0
     checked = result.certified() if args.check else None
     if args.fmt == "dot":
-        print(to_dot(result.graph, result.coloring.colors, one_based=args.one_based), end="")
+        _stream(iter_dot(result.graph, result.coloring.colors, one_based=args.one_based))
     else:
         payload = {
             "construction": args.construction,
@@ -321,7 +331,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except BrokenPipeError:
+        # a closed reader is not a usage error: entry() turns it into 141
+        raise
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -286,29 +286,43 @@ def _row_names(row: int, names: Sequence[str], start: int) -> Iterable[str]:
     return [names[start + i] for i in iter_bits(row)]
 
 
-def _write_edges(
+def _iter_edges(
     g: Graph, names: Sequence[str], lead: str, mid: str, tail: str, glue: str
-) -> str:
-    """Each edge a < b as ``lead + names[a] + mid + names[b] + tail``,
-    in lexicographic order, joined by ``glue``, built a row at a time."""
-    rows = []
+) -> Iterator[str]:
+    """Each edge a < b as ``lead + names[a] + mid + names[b] + tail``, in
+    lexicographic order and separated by ``glue``: one chunk per row that
+    has an edge, so that no more than a row is held at once."""
+    sep = ""
     for u, mask in enumerate(g._adj):
         row = mask >> (u + 1)
         if row:
             head = lead + names[u] + mid
-            rows.append(head + (tail + glue + head).join(_row_names(row, names, u + 1)) + tail)
-    return glue.join(rows)
+            yield f"{sep}{head}{(tail + glue + head).join(_row_names(row, names, u + 1))}{tail}"
+            sep = glue
+
+
+def iter_json_edge_list(g: Graph) -> Iterator[str]:
+    """``json_edge_list(g)`` in chunks of one adjacency row."""
+    yield "["
+    yield from _iter_edges(g, list(map(str, range(g.n))), "[", ",", "]", ",")
+    yield "]"
 
 
 def json_edge_list(g: Graph) -> str:
     """The sorted edge list as compact JSON, ``[[a,b],...]`` with a < b."""
-    names = list(map(str, range(g.n)))
-    return "[" + _write_edges(g, names, "[", ",", "]", ",") + "]"
+    return "".join(iter_json_edge_list(g))
+
+
+def iter_json(g: Graph) -> Iterator[str]:
+    """``to_json(g)`` in chunks of one adjacency row."""
+    yield f'{{"n":{g.n},"edges":'
+    yield from iter_json_edge_list(g)
+    yield "}"
 
 
 def to_json(g: Graph) -> str:
     """Byte-stable JSON: sorted edge list with a < b, compact separators."""
-    return f'{{"n":{g.n},"edges":{json_edge_list(g)}}}'
+    return "".join(iter_json(g))
 
 
 def from_json(text: str) -> Graph:
@@ -333,19 +347,26 @@ def from_json(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def iter_dot(
+    g: Graph, colors: Sequence[int] | None = None, one_based: bool = False
+) -> Iterator[str]:
+    """``to_dot(g, colors, one_based)`` in chunks of one adjacency row.
+
+    A colour count other than ``g.n`` raises before the first chunk, so a
+    caller writing the chunks as they come never writes half a graph.
+    """
+    if colors is not None and len(colors) != g.n:
+        raise ValueError(f"{len(colors)} colors for {g.n} vertices")
+    off = 1 if one_based else 0
+    yield "graph {\n"
+    if colors is not None:
+        yield "".join(f"  {v + off} [color={c + off}];\n" for v, c in enumerate(colors))
+    yield from _iter_edges(g, list(map(str, range(off, g.n + off))), "  ", " -- ", ";\n", "")
+    yield "}\n"
+
+
 def to_dot(
     g: Graph, colors: Sequence[int] | None = None, one_based: bool = False
 ) -> str:
     """DOT export, one line per edge; per-vertex color attributes optional."""
-    off = 1 if one_based else 0
-    lines = ["graph {"]
-    if colors is not None:
-        if len(colors) != g.n:
-            raise ValueError(f"{len(colors)} colors for {g.n} vertices")
-        for v in range(g.n):
-            lines.append(f"  {v + off} [color={colors[v] + off}];")
-    edges = _write_edges(g, list(map(str, range(off, g.n + off))), "  ", " -- ", ";", "\n")
-    if edges:
-        lines.append(edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(iter_dot(g, colors, one_based))

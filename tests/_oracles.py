@@ -117,6 +117,11 @@ def reference_induced_subgraph(g: Graph, vertices) -> Graph:
     return Graph(len(vs), edges)
 
 
+def reference_json_edge_list(g: Graph) -> str:
+    """The edge-list writer as one json.dumps over a list of edge lists."""
+    return json.dumps([list(e) for e in g.edges()], separators=(",", ":"))
+
+
 def reference_to_json(g: Graph) -> str:
     """The JSON writer as one json.dumps over a list of edge lists."""
     payload = {"n": g.n, "edges": [list(e) for e in g.edges()]}

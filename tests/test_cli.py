@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -85,6 +86,37 @@ class TestExport:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: graph JSON ")
+
+    def test_directory_graph_file_is_usage_error(self, capsys, tmp_path):
+        code = main(["export", f"@{tmp_path}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: [Errno 21] Is a directory")
+
+    def test_unreadable_graph_file_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        # permission bits do not stop a superuser, so the refusal is raised
+        # where the file is read
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        code = main(["export", f"@{tmp_path / 'locked.json'}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: [Errno 13] Permission denied")
+
+    def test_closed_reader_is_not_a_usage_error(self, monkeypatch):
+        # entry() turns the error into exit 141; main must not swallow it
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["export", "X(P4,P4)", "--delta"])
 
     @pytest.mark.parametrize("argv", [("export", "P200000"), ("export", "K200000", "--delta"),
                                       ("chi-delta", "M(500,500)")])
@@ -369,6 +401,45 @@ class TestUsage:
         assert main(["export", "P3", "--frobnicate"]) == 2
 
 
+class ByteCounter:
+    """Stands in for stdout with only ``write`` and ``flush``, and keeps the
+    size of what is written rather than the text."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("argv", [
+        ("export", "X(P40,P40)", "--delta"),
+        ("export", "X(P40,P40)", "--delta", "--fmt", "dot"),
+        ("structure", "P30", "P30", "--emit-s"),
+        ("construct", "path-path", "30", "30", "--fmt", "dot"),
+    ])
+    def test_peak_memory_is_a_small_share_of_the_text(self, monkeypatch, argv):
+        # texts of 2.7 to 14.7 MB: writing any of them whole, or handing all
+        # of its rows to one call, holds more than a quarter of it at once
+        out = ByteCounter()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli._parser()
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.size > 2_000_000
+        assert peak < out.size / 4
+
+
 class TestClosedPipe:
     def test_reader_closing_stdout_exits_141_quietly(self):
         # verify all writes about 150 KB, more than the pipe holds, so the
@@ -378,6 +449,19 @@ class TestClosedPipe:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=SRC,
         )
         assert proc.stdout.readline().startswith(b"PASS ")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141
+        assert stderr == b""
+
+    def test_reader_closing_a_streamed_export_exits_141_quietly(self):
+        # the 10.7 MB text is written a row at a time, so the error comes
+        # from inside the command, not from the flush at exit
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "deltachrom.cli", "export", "X(P40,P40)", "--delta"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=SRC,
+        )
+        assert proc.stdout.read(16) == b'{"n":1600,"edges'
         proc.stdout.close()
         stderr = proc.stderr.read()
         assert proc.wait(timeout=300) == 141

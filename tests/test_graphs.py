@@ -18,7 +18,7 @@ from deltachrom import (
     to_dot,
     to_json,
 )
-from deltachrom.graphs import iter_bits
+from deltachrom.graphs import iter_bits, iter_dot, iter_json, iter_json_edge_list, json_edge_list
 from deltachrom.families import (
     complete_graph,
     cycle_graph,
@@ -32,6 +32,7 @@ from _oracles import (
     naive_delta_edges,
     naive_product_edges,
     reference_induced_subgraph,
+    reference_json_edge_list,
     reference_to_dot,
     reference_to_json,
 )
@@ -299,9 +300,12 @@ class TestSerialization:
 
 
 def assert_writers_match_reference(g, colors=None):
-    assert to_json(g) == reference_to_json(g)
+    """Each writer, and the join of its row generator, against the reference."""
+    assert to_json(g) == "".join(iter_json(g)) == reference_to_json(g)
+    assert json_edge_list(g) == "".join(iter_json_edge_list(g)) == reference_json_edge_list(g)
     for one_based in (False, True):
-        assert to_dot(g, colors, one_based) == reference_to_dot(g, colors, one_based)
+        expected = reference_to_dot(g, colors, one_based)
+        assert to_dot(g, colors, one_based) == "".join(iter_dot(g, colors, one_based)) == expected
 
 
 @st.composite
@@ -340,11 +344,26 @@ class TestWritersMatchReference:
             assert_writers_match_reference(complete_graph(n))
 
     def test_empty_graph_bytes(self):
+        assert_writers_match_reference(Graph(0))
+        assert_writers_match_reference(Graph(0), [])
         assert to_json(Graph(0)) == '{"n":0,"edges":[]}'
+        assert json_edge_list(Graph(0)) == "[]"
         assert to_dot(Graph(0)) == "graph {\n}\n"
         assert to_dot(Graph(2), [0, 0], one_based=True) == (
             "graph {\n  1 [color=1];\n  2 [color=1];\n}\n"
         )
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_wrong_colour_count_raises_before_the_first_chunk(self, count):
+        chunks = iter_dot(path_graph(3), list(range(count)))
+        with pytest.raises(ValueError, match=f"{count} colors for 3 vertices"):
+            next(chunks)
+
+    def test_one_chunk_per_row_with_an_edge(self):
+        # rows 0 and 1 of P3 have an edge to a later vertex, row 2 has none
+        assert list(iter_json_edge_list(path_graph(3))) == ["[", "[0,1]", ",[1,2]", "]"]
+        assert list(iter_dot(path_graph(3), one_based=True)) == [
+            "graph {\n", "  1 -- 2;\n", "  2 -- 3;\n", "}\n"]
 
     @given(st.integers(min_value=3, max_value=400))
     @settings(max_examples=30, deadline=None)
