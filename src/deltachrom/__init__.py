@@ -53,7 +53,6 @@ from .structure import (
 )
 from .constructions import (
     ConstructionResult,
-    cyclic_block_grid,
     degree_diff_product_coloring,
     join_p3_coloring,
     path_path_coloring,

@@ -496,8 +496,11 @@ def chromatic_number(
     certifies it. A clique it returns is re-checked and closes the solve
     without the clique search; with none, the clique search runs as
     without the hook. The k-search starts at the larger of the bound
-    and the clique size.
+    and the clique size. A NaN timeout raises ``ValueError``: no clock
+    reading ever passes its deadline.
     """
+    if math.isnan(timeout):
+        raise ValueError("timeout must be a number of seconds, got nan")
     start = time.perf_counter()
     deadline = time.monotonic() + timeout
     witness = dsatur_upper(g)

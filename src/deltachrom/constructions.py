@@ -10,9 +10,10 @@ Formulas are written 1-based, matching how these colorings are usually
 stated, and ``_coloring`` translates them in one place: it walks each
 factor's coordinates as the formula numbers them (hub 0 and pendants
 1..m for a star, positions 1..n for a path) and subtracts 1 from every
-color. ``on_product`` then builds the product, its delta-complement and
-the clique certificate, given by the canonical 0-based coordinates of
-its vertices.
+color. Every construction is such a rule; path-path's boundary colors
+are worked out from coordinates first. ``on_product`` then builds the
+product, its delta-complement and the clique certificate, given by the
+canonical 0-based coordinates of its vertices.
 """
 
 from __future__ import annotations
@@ -91,39 +92,17 @@ def _ranks(coloring: Coloring) -> list[int]:
     return [rank[c] for c in coloring.colors]
 
 
-def cyclic_block_grid(
-    c0_one_based: Sequence[int], class_sizes: Sequence[int], p: int
-) -> list[list[int]]:
-    """The cyclic-permutation color grid behind the degree-diff bound.
-
-    Row g, column (j, k) receives f(g, j) + (k-1)p where f(g, j) is in
-    1..p and congruent to c0(g) + j - 1 mod p. Columns enumerate the
-    degree classes of the second factor in class-major order, k-th
-    member second. Everything here stays 1-based.
-    """
-    columns = [
-        (j, k)
-        for j, size in enumerate(class_sizes, start=1)
-        for k in range(1, size + 1)
-    ]
-    grid = []
-    for c in c0_one_based:
-        row = []
-        for j, k in columns:
-            f = (c + j - 2) % p + 1
-            row.append(f + (k - 1) * p)
-        grid.append(row)
-    return grid
-
-
 def degree_diff_product_coloring(g: Graph, c0: Coloring, h: Graph) -> Coloring:
     """Proper coloring of the delta-complement of g x h from one of g.
 
     Requires the positive degree-difference sets of g and h to be
     disjoint; then the extra edges of the product's delta-complement
     join vertices in different copies of g within one degree class of h,
-    and the cyclic block grid keeps all of them bichromatic. Uses at
-    most n_max(h) * max(colors_used(c0), m(h)) colors.
+    and the cyclic block grid keeps all of them bichromatic: with p =
+    max(colors_used(c0), m(h)), vertex (vg, vh) takes the 1-based color
+    (rank(vg) + j - 2) mod p + 1 + (k - 1)p, where rank ranks c0's colors
+    from 1 and vh is the k-th member of h's j-th degree class by
+    ascending degree. Uses at most n_max(h) * p colors.
     """
     if len(c0.colors) != g.n:
         raise ValueError(f"c0 colors {len(c0.colors)} vertices, g has {g.n}")
@@ -135,16 +114,19 @@ def degree_diff_product_coloring(g: Graph, c0: Coloring, h: Graph) -> Coloring:
             f"degree difference {shared[0]} occurs in both factors; "
             "the coloring rule needs disjoint positive degree differences"
         )
-    classes = sorted(degree_masks(h).items())  # ascending degree
-    sizes = [mask.bit_count() for _, mask in classes]
+    classes = [mask for _, mask in sorted(degree_masks(h).items())]  # ascending degree
     p = max(c0.colors_used, len(classes))
-    grid = cyclic_block_grid(_ranks(c0), sizes, p)
-    members = itertools.chain.from_iterable(iter_bits(mask) for _, mask in classes)
-    column = [0] * h.n
-    for col, vh in enumerate(members):
-        column[vh] = col
-    return _coloring(max(sizes, default=0) * p, lambda vg, vh: grid[vg][column[vh]],
-                     range(g.n), range(h.n))
+    rank = _ranks(c0)
+    # vertex of h -> (degree class j, member k), 1-based
+    place = {vh: (j, k) for j, mask in enumerate(classes, start=1)
+             for k, vh in enumerate(iter_bits(mask), start=1)}
+
+    def color(vg: int, vh: int) -> int:
+        j, k = place[vh]
+        return (rank[vg] + j - 2) % p + 1 + (k - 1) * p
+
+    palette = max(map(int.bit_count, classes), default=0) * p
+    return _coloring(palette, color, range(g.n), range(h.n))
 
 
 def join_p3_coloring(h: Graph, ch: Coloring) -> Coloring:
@@ -251,74 +233,54 @@ def path_path_coloring(n: int, k: int) -> ConstructionResult:
     The interior (degree-4) vertices get the closed-form coloring whose
     color classes are horizontal dominoes (plus vertical dominoes in the
     last interior column when k is odd), using ceil((n-2)(k-2)/2) colors
-    in total. Boundary degree-3 vertices are then colored clockwise from
-    position (1,2) in consecutive same-side pairs, each unit taking the
-    smallest palette color free of its already-colored neighbors, and
-    the four corners close greedily. A diagonal half of the interior is
-    returned as the matching clique certificate.
+    in total. The boundary degree-3 vertices, in consecutive same-side
+    pairs taken top, right, bottom reversed, left reversed, each take the
+    smallest color free of the earlier pairs (two degree-3 vertices are
+    adjacent in the delta-complement unless consecutive on one side) and
+    of their interior neighbors; each corner then takes the smallest color
+    free of the earlier corners and its two boundary neighbors. A diagonal
+    half of the interior is returned as the matching clique certificate.
     """
     if not 6 <= n <= k:
         raise ValueError(f"needs 6 <= n <= k, got ({n},{k})")
-    product, index = cartesian_product([path_graph(n), path_graph(k)])
-    delta = delta_complement(product)
+    check_product_size(n * k)
     target = ceil_div((n - 2) * (k - 2), 2)
-
-    def fid(i: int, j: int) -> int:
-        # 1-based grid position -> flat id
-        return index.flat((i - 1, j - 1))
-
-    colors = [-1] * product.n
     half = (k - 2) // 2
-    for i in range(2, n):
-        for j in range(2, 2 * half + 2):
-            colors[fid(i, j)] = (i - 2) * half + (j - 2) // 2
-    if k % 2 == 1:
+    boundary: dict[tuple[int, int], int] = {}
+
+    def color(i: int, j: int) -> int:  # 1-based position, 0-based color
+        if not (1 < i < n and 1 < j < k):
+            return boundary[i, j]
+        if j <= 2 * half + 1:
+            return (i - 2) * half + (j - 2) // 2
         # vertical dominoes down the last interior column
-        for i in range(2, n):
-            colors[fid(i, k - 1)] = (n - 2) * half + (i - 2) // 2
+        return (n - 2) * half + (i - 2) // 2
 
-    def greedy_fill(cells: list[tuple[int, int]]) -> None:
-        forbidden = 0
-        for i, j in cells:
-            for w in iter_bits(delta.adjacency_mask(fid(i, j))):
-                if colors[w] >= 0:
-                    forbidden |= 1 << colors[w]
-        c = 0
-        while forbidden >> c & 1:
-            c += 1
-        if c >= target:
-            raise AssertionError(
-                f"no palette color left for boundary cells {cells} at ({n},{k})"
-            )
-        for i, j in cells:
-            colors[fid(i, j)] = c
+    def inward(i: int, j: int) -> tuple[int, int]:
+        # a boundary cell's interior neighbor; for a corner, the diagonal one
+        return min(max(i, 2), n - 1), min(max(j, 2), k - 1)
 
-    def paired(cells: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-        return [cells[t : t + 2] for t in range(0, len(cells), 2)]
+    def fill(cells: list[tuple[int, int]], near: list[tuple[int, int]], used: int) -> int:
+        # the lowest color outside used and near; Coloring refuses one past target
+        forbidden = used
+        for cell in near:
+            forbidden |= 1 << color(*cell)
+        c = (~forbidden & (forbidden + 1)).bit_length() - 1
+        boundary.update(dict.fromkeys(cells, c))
+        return used | 1 << c
 
-    top = [(1, j) for j in range(2, k)]
-    right = [(i, k) for i in range(2, n)]
-    bottom = [(n, j) for j in range(2, k)]
-    left = [(i, 1) for i in range(2, n)]
-    units = (
-        paired(top)
-        + paired(right)
-        + list(reversed(paired(bottom)))
-        + list(reversed(paired(left)))
-    )
-    for unit in units:
-        greedy_fill(unit)
-    for corner in [(1, 1), (1, k), (n, k), (n, 1)]:
-        greedy_fill([corner])
-
-    clique = tuple(
-        sorted(
-            fid(i, j)
-            for i in range(2, n)
-            for j in range(2, k)
-            if (i + j) % 2 == 0
-        )
-    )
-    return ConstructionResult(
-        delta, index, Coloring(tuple(colors), target), clique
+    sides = [[(1, j) for j in range(2, k)], [(i, k) for i in range(2, n)],
+             [(n, j) for j in range(2, k)], [(i, 1) for i in range(2, n)]]
+    top, right, bottom, left = ([side[t : t + 2] for t in range(0, len(side), 2)] for side in sides)
+    used = 0
+    for unit in top + right + bottom[::-1] + left[::-1]:
+        used = fill(unit, [inward(*cell) for cell in unit], used)
+    used = 0
+    for i, j in [(1, 1), (1, k), (n, k), (n, 1)]:
+        ci, cj = inward(i, j)
+        used = fill([(i, j)], [(i, cj), (ci, j)], used)
+    return on_product(
+        [path_graph(n), path_graph(k)],
+        _coloring(target, lambda i, j: color(i, j) + 1, range(1, n + 1), range(1, k + 1)),
+        ((i, j) for i in range(1, n - 1) for j in range(1, k - 1) if (i + j) % 2 == 0),
     )

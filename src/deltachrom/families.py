@@ -225,12 +225,13 @@ _ATOM_LETTER = {
     "W": "wheel",
 }
 _KIND_LETTER = {v: k for k, v in _ATOM_LETTER.items()}
+MAX_TERM_DEPTH = 100  # joins and products nest far inside the recursion limit
 
 
 def parse_spec(text: str) -> FamilySpec:
     """Parse one family term; raises ValueError on malformed input."""
     s = text.replace(" ", "")
-    spec, pos = _parse_term(s, 0)
+    spec, pos = _parse_term(s, 0, 0)
     if pos != len(s):
         raise ValueError(f"trailing input {s[pos:]!r} in family term {text!r}")
     return spec
@@ -251,10 +252,12 @@ def _expect(s: str, i: int, ch: str) -> int:
     return i + 1
 
 
-def _parse_term(s: str, i: int) -> tuple[FamilySpec, int]:
+def _parse_term(s: str, i: int, depth: int) -> tuple[FamilySpec, int]:
     if i >= len(s):
         raise ValueError(f"unexpected end of family term {s!r}")
     ch = s[i]
+    if ch in "JX" and depth == MAX_TERM_DEPTH:
+        raise ValueError(f"family term nests deeper than {MAX_TERM_DEPTH} levels")
     if ch in _ATOM_LETTER:
         val, j = _parse_int(s, i + 1)
         return FamilySpec(_ATOM_LETTER[ch], (val,)), j
@@ -265,18 +268,18 @@ def _parse_term(s: str, i: int) -> tuple[FamilySpec, int]:
         return FamilySpec("star", (val,)), j
     if ch == "J":
         j = _expect(s, i + 1, "(")
-        a, j = _parse_term(s, j)
+        a, j = _parse_term(s, j, depth + 1)
         j = _expect(s, j, ",")
-        b, j = _parse_term(s, j)
+        b, j = _parse_term(s, j, depth + 1)
         j = _expect(s, j, ")")
         return FamilySpec("join", (), (a, b)), j
     if ch == "X":
         j = _expect(s, i + 1, "(")
         children = []
-        first, j = _parse_term(s, j)
+        first, j = _parse_term(s, j, depth + 1)
         children.append(first)
         while j < len(s) and s[j] == ",":
-            nxt, j = _parse_term(s, j + 1)
+            nxt, j = _parse_term(s, j + 1, depth + 1)
             children.append(nxt)
         j = _expect(s, j, ")")
         if len(children) < 2:

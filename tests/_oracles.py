@@ -11,6 +11,7 @@ import json
 import math
 import time
 from itertools import combinations, permutations, product as iproduct
+from typing import Sequence
 
 from deltachrom import Coloring, Graph
 from deltachrom.chromatic import SolverTimeout
@@ -335,3 +336,29 @@ def reference_k_search(g: Graph, k: int, clique, deadline: float = math.inf):
                 free |= 1 << v
             else:
                 return None
+
+
+def cyclic_block_grid(
+    c0_one_based: Sequence[int], class_sizes: Sequence[int], p: int
+) -> list[list[int]]:
+    """The cyclic-permutation color grid behind the degree-diff bound,
+    written out as a table.
+
+    Row g, column (j, k) receives f(g, j) + (k-1)p where f(g, j) is in
+    1..p and congruent to c0(g) + j - 1 mod p. Columns enumerate the
+    degree classes of the second factor in class-major order, k-th
+    member second. Everything here stays 1-based.
+    """
+    columns = [
+        (j, k)
+        for j, size in enumerate(class_sizes, start=1)
+        for k in range(1, size + 1)
+    ]
+    grid = []
+    for c in c0_one_based:
+        row = []
+        for j, k in columns:
+            f = (c + j - 2) % p + 1
+            row.append(f + (k - 1) * p)
+        grid.append(row)
+    return grid

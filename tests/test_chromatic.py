@@ -376,6 +376,14 @@ class TestChromaticNumber:
         assert result.clique_lower >= 1
         assert is_proper(g, result.witness)
 
+    def test_nan_timeout_is_refused(self):
+        # no deadline comparison with NaN is ever true, so it would never stop
+        g = delta_complement(cartesian_product([cycle_graph(7), cycle_graph(9)])[0])
+        with pytest.raises(ValueError, match="got nan"):
+            chromatic_number(g, timeout=math.nan)
+        with pytest.raises(ValueError, match="got nan"):
+            chi_delta(cycle_graph(5), timeout=float("nan"))
+
     @pytest.mark.parametrize("budget", [0, 1])
     @pytest.mark.parametrize("n", [5, 7, 9])
     def test_tiny_clique_budget_keeps_the_bracket(self, monkeypatch, n, budget):

@@ -389,6 +389,24 @@ class TestUsage:
         monkeypatch.setenv("DELTACHROM_TIMEOUT", "soon")
         assert main(["chi-delta", "C5"]) == 2
 
+    def test_nan_timeout_flag_is_usage_error(self, capsys):
+        # no deadline comparison with NaN is ever true, so it would never stop
+        assert main(["chi-delta", "X(C7,C9)", "--timeout", "nan"]) == 2
+        assert capsys.readouterr().err == "error: timeout must be a number of seconds, got nan\n"
+
+    def test_nan_timeout_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DELTACHROM_TIMEOUT", "nan")
+        assert main(["chi-delta", "X(C7,C9)"]) == 2
+        assert capsys.readouterr().err.startswith("error: timeout must be a number")
+
+    @pytest.mark.parametrize("term", [
+        "X(" * 1000 + "P1" + ",P1)" * 1000,
+        "J(K1," * 1000 + "K1" + ")" * 1000,
+    ])
+    def test_deeply_nested_term_is_usage_error(self, capsys, term):
+        assert main(["chi-delta", term]) == 2
+        assert capsys.readouterr().err == "error: family term nests deeper than 100 levels\n"
+
     def test_calls_do_not_share_arguments(self, capsys):
         code, out = run(capsys, "export", "P3", "--delta", "--fmt", "dot", "--one-based")
         assert code == 0 and out.startswith("graph {")

@@ -1,12 +1,13 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from deltachrom import (
     Coloring,
+    Graph,
     cartesian_product,
     chi_delta,
-    cyclic_block_grid,
     degree_diff_product_coloring,
     delta_complement,
     dsatur_upper,
@@ -27,6 +28,8 @@ from deltachrom.families import (
     star_graph,
 )
 
+from _oracles import cyclic_block_grid
+
 
 def assert_clique(g, vertices):
     for i, a in enumerate(vertices):
@@ -46,6 +49,16 @@ class TestCyclicBlockGrid:
             [2, 6, 3, 4, 8, 1, 5],
             [3, 7, 4, 1, 5, 2, 6],
         ]
+        # the construction's formula gives the same grid on K5, whose
+        # delta-complement is edgeless, times a graph with those classes:
+        # degree 0 {1, 2}, 2 {4}, 3 {3, 6} and 4 {0, 5}
+        h = Graph(7, [(0, 3), (0, 4), (0, 5), (0, 6), (3, 5), (3, 6), (4, 5), (5, 6)])
+        c0 = Coloring((0, 2, 0, 1, 2), 3)
+        coloring = degree_diff_product_coloring(complete_graph(5), c0, h)
+        assert coloring.palette_size == 2 * 4
+        for vg, row in enumerate(grid):
+            for value, vh in zip(row, [1, 2, 4, 3, 6, 0, 5]):
+                assert coloring.colors[vg * h.n + vh] == value - 1
 
 
 class TestDegreeDiffProductColoring:
@@ -264,6 +277,20 @@ class TestPathPath:
             assert is_proper(r.graph, r.coloring)
             assert r.coloring.colors_used == ceil_div((n - 2) * (k - 2), 2)
 
+    def test_colors_and_cliques_beyond_the_golden_are_pinned(self):
+        # the construct golden stops at 12 x 12; this digest of
+        # (colors, clique) covers larger, odd and even sides up to 40
+        sides = (13, 14, 20, 27, 39, 40)
+        h = hashlib.sha256()
+        for n in sides:
+            for k in sides:
+                if n <= k:
+                    r = path_path_coloring(n, k)
+                    h.update(repr((r.coloring.colors, r.clique)).encode())
+        assert h.hexdigest() == (
+            "fa68f68419f5832f5ee7cd2a3e5fd560cf43c93fea438fb290d979eb094f9c6e"
+        )
+
 
 class TestVertexBudget:
     def test_formula_over_the_budget_is_never_evaluated(self):
@@ -276,6 +303,7 @@ class TestVertexBudget:
         (star_path_coloring, (5000, 3)),
         (star_path_coloring, (5000, 4)),
         (star_path_coloring, (100, 100)),
+        (path_path_coloring, (100, 101)),
     ])
     def test_products_over_the_budget_are_refused(self, build, args):
         with pytest.raises(SizeLimitError, match="over the 10000 budget"):

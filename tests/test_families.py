@@ -15,6 +15,7 @@ from deltachrom import (
     to_json,
 )
 from deltachrom.families import (
+    MAX_TERM_DEPTH,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -238,6 +239,20 @@ class TestTermLanguage:
     @settings(max_examples=80)
     def test_round_trip(self, spec):
         assert parse_spec(format_spec(spec)) == spec
+
+    @pytest.mark.parametrize("open_,atom,close", [
+        ("X(", "P1", ",P1)"),
+        ("J(K1,", "K1", ")"),
+    ])
+    def test_nesting_depth_is_bounded(self, open_, atom, close):
+        def nested(depth):
+            return open_ * depth + atom + close * depth
+
+        assert parse_spec(nested(50)).kind in ("product", "join")
+        assert format_spec(parse_spec(nested(MAX_TERM_DEPTH))) == nested(MAX_TERM_DEPTH)
+        for depth in (MAX_TERM_DEPTH + 1, 1000):
+            with pytest.raises(ValueError, match="nests deeper than 100"):
+                parse_spec(nested(depth))
 
     def test_whitespace_tolerated(self):
         assert parse_spec("X( P2 , P2 )") == parse_spec("X(P2,P2)")
