@@ -9,9 +9,12 @@ G[D], so their union is a clique of delta(G); when it meets DSATUR's
 palette, the sandwich certifies the value and nothing else runs. When
 G[D] is triangle-free, a color class of delta(G) meets D in a clique of
 G[D], which lies in one component C of G[D], so chi >= sum over C of
-ceil(|C|/2). When no colour-side clique closes the solve, a
-branch-and-bound maximum clique gives the lower bound; it stops at the first clique of the palette's size, which is
-maximum since omega <= chi <= palette. A k-colorability backtracking
+ceil(|C|/2). Vertices of D adjacent in G may share a colour, so DSATUR
+on delta(G) with a matching of each class contracted can meet that
+bound. A bound that meets the palette closes the solve with no clique;
+otherwise a branch-and-bound maximum clique gives the lower bound; it
+stops at the first clique of the palette's size, which is maximum
+since omega <= chi <= palette. A k-colorability backtracking
 search (most-constrained vertex first, color symmetry broken by pinning
 a maximum clique to colors 0..|clique|-1) then decides each k from the
 larger of the clique size and the class bound upward. It keeps its
@@ -322,17 +325,63 @@ def class_certificates(
     pass. The clock is read once per class; past the deadline the pass
     ends with what it has.
     """
+    return _class_pass(g, palette, deadline, classes)[:3]
+
+
+def _class_pass(
+    g: Graph, palette: int, deadline: float, classes: Sequence[int] | None
+) -> tuple[tuple[int, ...], int, int, bool]:
+    """``class_certificates``, and whether the bound's class is bipartite."""
     best = best_mask = 0
+    bipartite = False
     for mask in classes or _largest_first(degree_masks(g)):
         size = mask.bit_count()
         if size < palette and size <= best or time.monotonic() > deadline:
             break
         sides, bound = _class_sweep(g, mask)
         if bound > best:
-            best, best_mask = bound, mask
+            best, best_mask, bipartite = bound, mask, sides is not None
         if sides is not None and sides.bit_count() == palette:
-            return tuple(iter_bits(sides)), best, best_mask
-    return (), best, best_mask
+            return tuple(iter_bits(sides)), best, best_mask, bipartite
+    return (), best, best_mask, bipartite
+
+
+def _first_fit_pairs(g: Graph, mask: int) -> list[tuple[int, int]]:
+    """A first-fit matching of g[mask], as (lower, higher) pairs: the
+    lowest free vertex is matched to its lowest free neighbour."""
+    pairs = []
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        mask ^= 1 << v
+        if free := g._adj[v] & mask:
+            u = (free & -free).bit_length() - 1
+            mask ^= 1 << u
+            pairs.append((v, u))
+    return pairs
+
+
+def _contracted_dsatur(d: Graph, pairs: list[tuple[int, int]]) -> Coloring:
+    """DSATUR on d with each pair of non-adjacent vertices contracted into
+    its lower vertex, whose row becomes the OR of both; the higher one's
+    row is emptied, and it takes the lower one's color. Each row folds
+    the higher vertices M_o at offset o = higher - lower down with one
+    shift per offset, not one step per bit."""
+    rows = list(d._adj)
+    by_offset: dict[int, int] = {}
+    for low, high in pairs:
+        rows[low] |= rows[high]
+        rows[high] = 0
+        by_offset[high - low] = by_offset.get(high - low, 0) | 1 << high
+    keep = ~sum(by_offset.values())  # the M_o are disjoint
+    for v, row in enumerate(rows):
+        rows[v] = row & keep
+        for offset, moved in by_offset.items():
+            rows[v] |= (row & moved) >> offset
+    contracted = dsatur_upper(Graph._from_masks(d.n, rows))
+    colors = list(contracted.colors)
+    for low, high in pairs:
+        colors[high] = colors[low]
+    return Coloring(tuple(colors), contracted.palette_size)
 
 
 def _k_coloring_search(
@@ -440,7 +489,9 @@ class ChromaticResult:
     ``len(clique)`` and, for ``chi_delta``, the class bound, and each k
     the search refutes raises it by one, so chi lies in [lower, upper].
     ``bound_class`` is the mask of the degree class whose bound raised
-    ``lower`` above ``len(clique)``, 0 when none did. The result is
+    ``lower`` above ``len(clique)``, 0 when none did. The clique is ()
+    when that bound meets the palette: the class certifies the lower
+    end, and no clique search runs. The result is
     exact when the two ends meet; when the deadline passed first,
     ``chi`` is None.
     """
@@ -492,12 +543,15 @@ def chromatic_number(
 
     ``certificates(palette, deadline)``, when given, is asked once,
     after DSATUR and before the clique search, for a clique of g of
-    DSATUR's palette size or (), a lower bound on chi and the mask that
-    certifies it. A clique it returns is re-checked and closes the solve
-    without the clique search; with none, the clique search runs as
-    without the hook. The k-search starts at the larger of the bound
-    and the clique size. A NaN timeout raises ``ValueError``: no clock
-    reading ever passes its deadline.
+    DSATUR's palette size or (), a lower bound on chi, the mask that
+    certifies it, and a coloring of g or None. A coloring with fewer
+    colors than DSATUR's is re-checked with ``is_proper`` and becomes
+    the witness. A clique it returns is re-checked and closes the solve
+    without the clique search; so does a bound that meets the palette,
+    with the clique (). Otherwise the clique search runs as without the
+    hook. The k-search starts at the larger of the bound and the clique
+    size. A NaN timeout raises ``ValueError``: no clock reading ever
+    passes its deadline.
     """
     if math.isnan(timeout):
         raise ValueError("timeout must be a number of seconds, got nan")
@@ -505,15 +559,21 @@ def chromatic_number(
     deadline = time.monotonic() + timeout
     witness = dsatur_upper(g)
     upper = witness.palette_size
-    clique, bound, bound_class = certificates(upper, deadline) if certificates else ((), 0, 0)
+    clique, bound, bound_class, better = (
+        certificates(upper, deadline) if certificates else ((), 0, 0, None))
+    if better is not None and better.palette_size < upper:
+        if not is_proper(g, better):
+            raise RuntimeError("internal error: witness verification failed")
+        witness, upper = better, better.palette_size
     if bound > upper:
         raise RuntimeError("internal error: lower bound above a proper coloring")
-    if not clique:
+    if clique:
+        if len(clique) != upper or not is_clique(g, clique):
+            raise RuntimeError("internal error: clique verification failed")
+    elif bound < upper:
         clique = max_clique_lower(g, deadline, target=upper).vertices
-    elif len(clique) != upper or not is_clique(g, clique):
-        raise RuntimeError("internal error: clique verification failed")
     lower = len(clique)
-    method = "sandwich" if lower == upper else "branch-and-bound"
+    method = "sandwich" if max(lower, bound) == upper else "branch-and-bound"
     if bound > lower:
         lower = bound
     else:
@@ -590,13 +650,27 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
     classes of g (see ``class_certificates``) as its certificate hook:
     a colour-side clique of DSATUR's palette size closes the solve
     without the clique search, and the k-search starts at the larger of
-    the clique and the class bound. The degree classes of g are found
-    once and shared with ``delta_complement``.
+    the clique and the class bound. When neither meets the palette, the
+    hook adds ``_contracted_dsatur`` on a first-fit matching of each
+    class, gated as commented below, at the cost of one clock read. The
+    degree classes of g are found once and shared with
+    ``delta_complement``.
     """
     same = degree_masks(g)
     classes = _largest_first(same)
-    return chromatic_number(
-        delta_complement(g, same),
-        timeout=timeout,
-        certificates=lambda palette, deadline: class_certificates(g, palette, deadline, classes),
-    )
+    d = delta_complement(g, same)
+
+    def certificates(palette: int, deadline: float):
+        clique, bound, mask, bipartite = _class_pass(g, palette, deadline, classes)
+        # a bipartite class is left out, as its colour sides are a clique
+        # of at least the bound; and the contraction meets the bound only
+        # where the matching leaves that many vertices and pairs in its class
+        if clique or not mask or bipartite or bound == palette or time.monotonic() > deadline:
+            return clique, bound, mask, None
+        pairs = _first_fit_pairs(g, mask)
+        if mask.bit_count() - len(pairs) != bound:
+            return clique, bound, mask, None
+        pairs += [pair for other in classes if other != mask for pair in _first_fit_pairs(g, other)]
+        return clique, bound, mask, _contracted_dsatur(d, pairs)
+
+    return chromatic_number(d, timeout=timeout, certificates=certificates)

@@ -9,7 +9,8 @@ Subcommands:
   structure SPEC...      edge counts of the product decomposition and
                          the equality verdict (--emit-s dumps S as JSON)
   construct ID PARAMS    one of the explicit colorings, as JSON or DOT
-                         (--check re-verifies properness and the clique)
+                         (--check re-verifies properness and the clique;
+                         with no clique it reports "proper, unbounded")
   verify ID|all          theorem checks as a table, CSV or pretty
 
 Graph terms use the family grammar (P7, C5, K4, N3, S1,4, W6, M(3,4),
@@ -215,7 +216,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             "clique": [v + off for v in result.clique],
         }
         if checked is not None:
-            payload["check"] = "pass" if checked else "fail"
+            payload["check"] = ("pass" if result.clique else "proper, unbounded") if checked else "fail"
         print(json.dumps(payload, separators=(",", ":")))
     if checked is False:
         return EXIT_CHECK_FAILED

@@ -39,6 +39,7 @@ from deltachrom.families import (
     wheel_graph,
 )
 from deltachrom.graphs import degree_masks, iter_bits
+from deltachrom.verification import run_check
 
 from _oracles import (
     brute_clique_cover_number,
@@ -423,13 +424,18 @@ class TestChromaticNumber:
     def test_deep_solves_leave_the_recursion_limit_alone(self):
         # the limit is set below the depth a recursive clique search
         # (50 on delta(P12 x P12)) or k-search (about 18 on
-        # delta(C5 x C7)) would need, after the package is imported
+        # delta(C5 x C7)) would need, after the package is imported.
+        # chi_delta closes the torus on its matched colouring, so the
+        # k-search runs under the class pass alone
         script = (
             "import sys\n"
-            "from deltachrom import chi_delta, generate, parse_spec\n"
+            "from deltachrom import (chi_delta, chromatic_number, class_certificates,\n"
+            "                        delta_complement, generate, parse_spec)\n"
             "sys.setrecursionlimit(40)\n"
             "a = chi_delta(generate(parse_spec('X(P12,P12)')))\n"
-            "b = chi_delta(generate(parse_spec('X(C5,C7)')))\n"
+            "g = generate(parse_spec('X(C5,C7)'))\n"
+            "b = chromatic_number(delta_complement(g), certificates=lambda palette, deadline:\n"
+            "                     (*class_certificates(g, palette, deadline), None))\n"
             "print(a.chi, a.method, b.chi, b.method, sys.getrecursionlimit())\n"
         )
         done = subprocess.run(
@@ -605,13 +611,19 @@ class TestClassClique:
     @given(graphs(max_n=10))
     @settings(max_examples=80, deadline=None)
     def test_same_solve_as_without_the_class_clique(self, g):
-        # the class pass changes at most which clique certifies a sandwich
+        # the class pass changes at most which clique certifies a sandwich,
+        # or closes the solve on its bound with no clique at all
         d = delta_complement(g)
         with_class, without = chi_delta(g), chromatic_number(d)
-        assert (with_class.lower, with_class.upper, with_class.witness, with_class.method) == (
-            without.lower, without.upper, without.witness, without.method)
-        assert len(with_class.clique) == len(without.clique)
+        assert (with_class.lower, with_class.upper) == (without.lower, without.upper)
         assert is_clique(d, with_class.clique)
+        if with_class.clique:
+            assert (with_class.witness, with_class.method) == (without.witness, without.method)
+            assert len(with_class.clique) == len(without.clique)
+        else:
+            # the empty graph alone has no vertex, no colour and no class
+            assert with_class.method == "sandwich" and (with_class.bound_class or not g.n)
+            assert is_proper(d, with_class.witness)
 
     def test_a_false_clique_is_refused(self):
         # vertices 0..9 of delta(P6 x P7) hold 1 and 2, neighbours on a
@@ -619,10 +631,15 @@ class TestClassClique:
         g = delta_complement(term_graph("X(P6,P7)"))
         assert dsatur_upper(g).palette_size == 10 and not g.has_edge(1, 2)
         with pytest.raises(RuntimeError, match="clique verification failed"):
-            chromatic_number(g, certificates=lambda k, deadline: (tuple(range(k)), 0, 0))
+            chromatic_number(g, certificates=lambda k, deadline: (tuple(range(k)), 0, 0, None))
         # one vertex is a clique, but not of the palette's size
         with pytest.raises(RuntimeError, match="clique verification failed"):
-            chromatic_number(g, certificates=lambda k, deadline: ((0,), 0, 0))
+            chromatic_number(g, certificates=lambda k, deadline: ((0,), 0, 0, None))
+
+
+def class_pass_alone(g: Graph):
+    """chi_delta's certificate hook without its matched colouring."""
+    return lambda palette, deadline: (*class_certificates(g, palette, deadline), None)
 
 
 def counted_k_searches(monkeypatch):
@@ -668,20 +685,37 @@ class TestClassBound:
         ("X(C9,S1,5)", 25, []), ("X(C5,S1,6)", 18, []), ("W9", 5, [5]),
     ])
     def test_the_k_search_starts_at_the_bound(self, monkeypatch, term, bound, ks):
-        # the tori and X(P9,C5) are decided by the one call at chi; the
-        # star products' bound meets DSATUR's palette. W9's rim C9 gives
+        # under the class pass alone, the tori and X(P9,C5) are decided by
+        # the one call at chi; the star products' bound meets DSATUR's
+        # palette and closes the solve with no clique. W9's rim C9 gives
         # 5, no more than its clique, and chi is 6, so k = 5 is refuted
         g = term_graph(term)
         d = delta_complement(g)
         calls = counted_k_searches(monkeypatch)
-        result = chi_delta(g)
-        assert calls == ks and result.exact and result.method == "branch-and-bound"
+        result = chromatic_number(d, certificates=class_pass_alone(g))
+        assert calls == ks and result.exact
+        assert result.method == ("branch-and-bound" if ks else "sandwich")
         clique, got, mask = class_certificates(g, palette_of(g))
         assert clique == () and got == bound
         assert result.bound_class == (mask if bound > len(result.clique) else 0)
         without = chromatic_number(d)
-        assert (result.chi, result.witness, result.clique) == (
-            without.chi, without.witness, without.clique)
+        assert (result.chi, result.witness) == (without.chi, without.witness)
+        assert result.clique == (without.clique if ks else ())
+
+    @pytest.mark.parametrize("term,bound", [
+        ("X(C5,C7)", 18), ("X(P9,C5)", 18), ("X(C4,C9)", 18),
+        ("X(C9,S1,5)", 25), ("X(C5,S1,6)", 18),
+    ])
+    def test_chi_delta_closes_on_the_bound(self, monkeypatch, term, bound):
+        # the matched colouring meets the bound on the tori and X(P9,C5),
+        # and DSATUR's palette does on the star products: no k-search
+        g = term_graph(term)
+        calls = counted_k_searches(monkeypatch)
+        result = chi_delta(g)
+        _, _, mask = class_certificates(g, palette_of(g))
+        assert calls == [] and result.exact and result.chi == bound
+        assert (result.method, result.clique, result.bound_class) == ("sandwich", (), mask)
+        assert is_proper(delta_complement(g), result.witness)
 
     def test_a_cut_search_keeps_the_bound_and_its_class(self, monkeypatch):
         # the one component C35 of X(C5,C7) gives 18 and no k is decided
@@ -691,7 +725,7 @@ class TestClassBound:
             raise chromatic.SolverTimeout
 
         monkeypatch.setattr(chromatic, "_k_coloring_search", no_search)
-        result = chi_delta(g)
+        result = chromatic_number(delta_complement(g), certificates=class_pass_alone(g))
         assert (result.lower, result.bound_class) == (18, (1 << 35) - 1)
         assert not result.exact and result.clique_lower < 18
         assert result.to_json_dict()["lower"] == 18
@@ -702,7 +736,9 @@ class TestClassBound:
         # first node and the k-search at its first step, so the bound is
         # all the solve has, and it is kept
         g = term_graph("X(C5,C7)")
-        result, reads = on_fake_clock(monkeypatch, 2, lambda: chi_delta(g, timeout=1.0))
+        d = delta_complement(g)
+        result, reads = on_fake_clock(monkeypatch, 2, lambda: chromatic_number(
+            d, timeout=1.0, certificates=class_pass_alone(g)))
         assert (result.lower, result.upper) == (18, palette_of(g))
         assert result.bound_class == (1 << 35) - 1 and result.clique == (0,)
         assert reads == 4
@@ -710,7 +746,7 @@ class TestClassBound:
     def test_a_bound_above_the_palette_is_refused(self):
         d = delta_complement(term_graph("X(C5,C7)"))
         with pytest.raises(RuntimeError, match="lower bound above a proper coloring"):
-            chromatic_number(d, certificates=lambda k, deadline: ((), k + 1, 1))
+            chromatic_number(d, certificates=lambda k, deadline: ((), k + 1, 1, None))
 
     @pytest.mark.parametrize("term", ["X(C5,C7)", "W9", "X(P9,C5)"])
     def test_past_the_deadline_it_is_zero(self, monkeypatch, term):
@@ -785,4 +821,125 @@ class TestKColoringSearch:
         monkeypatch.setattr(chromatic, "_k_coloring_search",
                             lambda g, k, clique, deadline: (0,) * g.n)
         with pytest.raises(RuntimeError, match="witness verification failed"):
-            chi_delta(g)
+            chromatic_number(delta_complement(g), certificates=class_pass_alone(g))
+
+
+def first_fit_pairs(g: Graph) -> list[tuple[int, int]]:
+    """The first-fit matching of every degree class of g."""
+    return [pair for mask in degree_masks(g).values()
+            for pair in chromatic._first_fit_pairs(g, mask)]
+
+
+class TestMatchedColoring:
+    @given(graphs(max_n=12))
+    @settings(max_examples=120, deadline=None)
+    def test_is_proper_and_within_chi(self, g):
+        # the contraction of every class's matching, gate or no gate
+        d = delta_complement(g)
+        pairs = first_fit_pairs(g)
+        for low, high in pairs:
+            assert low < high and g.has_edge(low, high) and not d.has_edge(low, high)
+            assert g.degree(low) == g.degree(high)
+        coloring = chromatic._contracted_dsatur(d, pairs)
+        assert is_proper(d, coloring) and reference_is_proper(d, coloring.colors)
+        assert all(coloring.colors[low] == coloring.colors[high] for low, high in pairs)
+        assert coloring.palette_size >= oracle_chromatic(d)
+
+    @given(graphs(max_n=12))
+    @settings(max_examples=80, deadline=None)
+    def test_is_used_only_below_dsaturs_palette(self, g):
+        # with the k-search cut, the witness is the hook's colouring when
+        # it has fewer colours than DSATUR's, and DSATUR's otherwise
+        d = delta_complement(g)
+        coloring = chromatic._contracted_dsatur(d, first_fit_pairs(g))
+        dsatur = dsatur_upper(d)
+
+        def no_search(*args):
+            raise chromatic.SolverTimeout
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(chromatic, "_k_coloring_search", no_search)
+            result = chromatic_number(d, certificates=lambda k, deadline: ((), 0, 0, coloring))
+        better = coloring.palette_size < dsatur.palette_size
+        assert result.witness == (coloring if better else dsatur)
+        assert result.upper == min(coloring.palette_size, dsatur.palette_size)
+
+    def test_an_improper_coloring_is_refused(self):
+        d = delta_complement(term_graph("X(P6,P7)"))
+        one_color = Coloring((0,) * d.n, 1)
+        with pytest.raises(RuntimeError, match="witness verification failed"):
+            chromatic_number(d, certificates=lambda k, deadline: ((), 0, 0, one_color))
+
+    @pytest.mark.parametrize("term,chi", [
+        ("X(C7,C9)", 32), ("X(C9,C11)", 50), ("X(C5,C7,P2)", 35), ("X(C5,C5,C5)", 63),
+    ])
+    def test_the_open_brackets_close(self, monkeypatch, term, chi):
+        # regular and triangle-free: the class bound is chi, and the
+        # matched colouring meets it where DSATUR's palette does not
+        g = term_graph(term)
+        d = delta_complement(g)
+        calls = counted_k_searches(monkeypatch)
+        result = chi_delta(g, timeout=10.0)
+        assert result.exact and result.chi == chi < palette_of(g)
+        assert (result.method, result.clique, result.bound_class) == ("sandwich", (), (1 << g.n) - 1)
+        assert calls == [] and is_proper(d, result.witness)
+
+    def test_reads_the_clock_once(self, monkeypatch):
+        # one read sets the deadline, one lets the class pass sweep the
+        # torus's one class and one lets the contraction run, which
+        # closes the solve
+        g = term_graph("X(C7,C9)")
+        ran = contractions(monkeypatch)
+        result, reads = on_fake_clock(monkeypatch, float("inf"), lambda: chi_delta(g, timeout=1.0))
+        assert (result.chi, result.method, reads, ran) == (32, "sandwich", 3, [g.n])
+
+    def test_is_skipped_past_the_deadline(self, monkeypatch):
+        # with the third read past the deadline the contraction does not
+        # run, and the clique search and the k-search stop at their first
+        # reads with the bound and DSATUR's colouring
+        g = term_graph("X(C7,C9)")
+        ran = contractions(monkeypatch)
+        result, reads = on_fake_clock(monkeypatch, 2, lambda: chi_delta(g, timeout=1.0))
+        assert (result.lower, result.upper) == (32, palette_of(g))
+        assert result.witness == dsatur_upper(delta_complement(g))
+        assert (reads, ran) == (5, [])
+
+    @pytest.mark.parametrize("g", [
+        # colour sides close the solve
+        term_graph("X(C6,P4)"),
+        # the bound meets DSATUR's palette
+        term_graph("X(C5,S1,6)"),
+        # no triangle-free class, so no bound
+        term_graph("X(K4,C13)"),
+        # the bound's class is bipartite: two C8 of degree 3
+        term_graph("X(P4,C8)"),
+        # the bound's class is the C5 1-4-7-3-6 with 2 hung on 3, bound 3;
+        # first fit pairs 1-4 and 2-3 and leaves 6 and 7 apart, 4 in all
+        Graph(8, [(0, 1), (0, 2), (1, 4), (1, 6), (2, 3), (2, 5), (3, 6), (3, 7),
+                  (4, 5), (4, 7), (5, 6), (5, 7)]),
+    ], ids=["sides", "palette", "triangles", "bipartite", "matching"])
+    def test_the_gate_keeps_it_off(self, monkeypatch, g):
+        ran = contractions(monkeypatch)
+        assert chi_delta(g).exact and ran == []
+
+    def test_it_never_runs_on_the_ng_graphs_or_gnp(self, monkeypatch):
+        from test_solve_golden import gnp_graphs
+
+        ran = contractions(monkeypatch)
+        rows = list(run_check("ng", {}))
+        assert len(rows) == 100 and all(r.status == "pass" for r in rows)
+        assert all(chi_delta(g).exact for g in gnp_graphs())
+        assert ran == []
+
+
+def contractions(monkeypatch):
+    """The vertex count of every contraction made while the patch holds."""
+    ran = []
+    contract = chromatic._contracted_dsatur
+
+    def counted(d, pairs):
+        ran.append(d.n)
+        return contract(d, pairs)
+
+    monkeypatch.setattr(chromatic, "_contracted_dsatur", counted)
+    return ran

@@ -233,13 +233,24 @@ class TestConstruct:
         assert json.loads(out)["colors_used"] == 10
 
     def test_join_p3_from_term(self, capsys):
+        # proper, with no clique to bound it from below
         code, out = run(capsys, "construct", "join-p3", "C5", "--check")
         assert code == 0
-        assert json.loads(out)["check"] == "pass"
+        assert json.loads(out)["check"] == "proper, unbounded"
 
     def test_degree_diff_from_terms(self, capsys):
         code, out = run(capsys, "construct", "degree-diff", "C5", "P3", "--check")
         assert code == 0
+        assert json.loads(out)["check"] == "proper, unbounded"
+
+    def test_an_unbounded_coloring_does_not_pass(self, capsys):
+        # 21 colours where chi-delta of C5 x C7 is 18: proper, but no clique
+        # certifies it
+        code, out = run(capsys, "construct", "degree-diff", "C5", "C7", "--check")
+        payload = json.loads(out)
+        assert code == 0 and payload["clique"] == []
+        assert (payload["colors_used"], payload["check"]) == (21, "proper, unbounded")
+        _, out = run(capsys, "construct", "star-path", "3", "5", "--check")
         assert json.loads(out)["check"] == "pass"
 
     def test_one_based_json_shifts_colors_and_clique(self, capsys):
@@ -297,7 +308,7 @@ class TestConstruct:
         assert code == 3 and out == ""
         monkeypatch.setenv("DELTACHROM_TIMEOUT", "0")
         code, out = run(capsys, "construct", "join-p3", "C5", "--timeout", "60", "--check")
-        assert code == 0 and json.loads(out)["check"] == "pass"
+        assert code == 0 and json.loads(out)["check"] == "proper, unbounded"
 
 
 class TestVerify:

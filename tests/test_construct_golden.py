@@ -40,11 +40,11 @@ GOLDEN = {
     ("path-path", "dot"):
         "717a9d82ec10a75439908de4970a9303011519dec6752f45170a302d2a6941c2",
     ("join-p3", "json"):
-        "b5eb9730c506dea53eba762b339e08c09f6218b2fca513f0a1225503b61b48e2",
+        "5efa4ca7fd0e8a51dc9b39403b4b18ca08dbc8a7f988659e2c254508bccb1ab2",
     ("join-p3", "dot"):
         "f39561ad50a25ea89b2b602207d6d844d515dca58faaf08ff7e3d02358dd7610",
     ("degree-diff", "json"):
-        "9af95f522c6b07118e2334eba5024c25eefebaee1b01a4bee6b0f2de2a7428b7",
+        "1e7c22d4b52afade3eb8eb050dda70cd0ba28b105223ccd7f9997a7b8863121c",
     ("degree-diff", "dot"):
         "0b96d4d75208eb1ace37bdacd82b7a5a8c7b58b448503a4da0ba635ece590e73",
 }

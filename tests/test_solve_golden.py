@@ -5,9 +5,11 @@ over two fixed sets: the 22 product and family terms of the solver
 benchmark's `search` workload, and its 108 G(n,p) graphs, two per
 (n, p) with n in 28..45 and p in {0.3, 0.5, 0.7}, drawn from
 ``random.Random(0)``. It was recorded before the k-colouring search
-moved from per-vertex colour domains to per-colour masks; any change to
-a witness, a clique or a search tree that reaches a solve's answer
-changes it. To re-record after an intended change, print
+moved from per-vertex colour domains to per-colour masks, and re-recorded
+when a class bound that meets the palette began to close a solve with no
+clique, and a matched colouring began to give that palette on the tori;
+any change to a witness, a clique or a search tree that reaches a
+solve's answer changes it. To re-record after an intended change, print
 ``_digest(_solves())`` and say in CHANGES.md which witnesses changed.
 """
 
@@ -23,7 +25,7 @@ SEARCH_TERMS = [
     "X(S1,4,S1,5)", "X(S1,3,P4)", "X(K5,K6)", "X(C5,C6)",
 ]
 
-GOLDEN = "37d1d056c6613af6d40f70aaf41f09688d29296a586477d11641effeb30f902a"
+GOLDEN = "f56614dd77a95a3382093e8c0d915e1192b471cd3355c8098da0ffa32cf6ecfe"
 
 
 def gnp_graphs() -> list[Graph]:
