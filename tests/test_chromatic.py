@@ -864,6 +864,15 @@ class TestMatchedColoring:
         assert result.witness == (coloring if better else dsatur)
         assert result.upper == min(coloring.palette_size, dsatur.palette_size)
 
+    @given(graphs(max_n=12))
+    @settings(max_examples=80, deadline=None)
+    def test_the_class_pass_knows_whether_the_bound_class_is_bipartite(self, g):
+        # the gate reads it from the class pass, which sweeps that class
+        for palette in (dsatur_upper(delta_complement(g)).palette_size, g.n + 1):
+            clique, bound, mask, bipartite = chromatic._class_pass(g, palette, math.inf, None)
+            assert (clique, bound, mask) == class_certificates(g, palette)
+            assert bipartite == (mask != 0 and brute_is_bipartite(g, list(iter_bits(mask))))
+
     def test_an_improper_coloring_is_refused(self):
         d = delta_complement(term_graph("X(P6,P7)"))
         one_color = Coloring((0,) * d.n, 1)
