@@ -14,18 +14,19 @@ on delta(G) with a matching of each class contracted can meet that
 bound. A bound that meets the palette closes the solve with no clique;
 otherwise a branch-and-bound maximum clique gives the lower bound; it
 stops at the first clique of the palette's size, which is maximum
-since omega <= chi <= palette. A k-colorability backtracking
-search (most-constrained vertex first, color symmetry broken by pinning
-a maximum clique to colors 0..|clique|-1) then decides each k from the
-larger of the clique size and the class bound upward. It keeps its
-domains as whole-graph masks: per color, the vertices that may still
-take it, and each vertex's number of colors left in bit-sliced counts,
-so a step is a few mask operations and no loop over vertices. Each
-coloring it finds is re-checked to be proper before it becomes the
-witness. Both searches keep their own stack, so no interpreter setting
-depends on the graph size. They read the clock at every node and the
-class pass at every class, so the deadline is the one stopping rule and
-a solve overruns it by at most one step's work.
+since omega <= chi <= palette. A k-colorability backtracking search
+(branching in DSATUR's order: fewest colors left, then highest degree,
+then lowest id; color symmetry broken by pinning a maximum clique to
+colors 0..|clique|-1) then decides each k from the larger of the clique
+size and the class bound upward. It keeps its domains as whole-graph
+masks: per color, the vertices that may still take it, and each
+vertex's number of colors left in bit-sliced counts, so a step is a few
+mask operations and no loop over vertices. Each coloring it finds is
+re-checked to be proper before it becomes the witness. Both searches
+keep their own stack, so no interpreter setting depends on the graph
+size. They read the clock at every node, the class pass at every class
+and the contraction's DSATUR every 256 vertices, so the deadline is the
+one stopping rule and a solve overruns it by at most one step's work.
 
 Everything is deterministic: ties break toward the lowest vertex id and
 colors are tried in increasing order, so the same graph always yields
@@ -182,7 +183,18 @@ def max_clique_lower(
     return CliqueResult(best_size, verts, complete)
 
 
-def dsatur_upper(g: Graph) -> Coloring:
+def _degree_planes(g: Graph) -> list[int]:
+    """The degrees of g bit-sliced, highest bit first: the plane for bit
+    j holds the vertices whose degree has bit j set."""
+    by_degree = degree_masks(g)
+    top = max(by_degree, default=0).bit_length()
+    return [
+        sum(mask for d, mask in by_degree.items() if d >> j & 1)
+        for j in reversed(range(top))
+    ]
+
+
+def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     """Proper DSATUR coloring; deterministic given the graph.
 
     Vertex choice: maximum saturation, then maximum degree, then lowest
@@ -202,25 +214,23 @@ def dsatur_upper(g: Graph) -> Coloring:
     whose every inner node is the AND of its two children, that is the
     vertices that see every color below it; first fit descends it to
     the lowest color v does not see, going left unless the left
-    child's mask holds v.
+    child's mask holds v. The clock is read once per 256 colored
+    vertices, after the 256th first; past the deadline DSATUR raises
+    ``SolverTimeout``.
     """
     n = g.n
     if n == 0:
         return Coloring((), 0)
     adj = g._adj
-    by_degree = degree_masks(g)
-    top = max(by_degree).bit_length()
-    degree_planes = [
-        sum(mask for d, mask in by_degree.items() if d >> j & 1)
-        for j in reversed(range(top))
-    ]
-    # first fit never goes past the maximum degree, so 2**top leaves
-    # hold every color; leaf `leaves + c` is seen[c]
-    leaves = 1 << top
+    degree_planes = _degree_planes(g)
+    # first fit never goes past the maximum degree, which is below 2**
+    # (number of degree planes), so that many leaves hold every color;
+    # leaf `leaves + c` is seen[c]
+    leaves = 1 << len(degree_planes)
     tree = [0] * (2 * leaves)
     sat: list[int] = []
     colors = [0] * n
-    palette = 0
+    palette = done = 0
     uncolored = (1 << n) - 1
     while uncolored:
         cand = uncolored
@@ -253,6 +263,9 @@ def dsatur_upper(g: Graph) -> Coloring:
             sat[j], carry = plane ^ carry, plane & carry
         if carry:
             sat.append(carry)
+        done += 1
+        if not done & 255 and time.monotonic() > deadline:
+            raise SolverTimeout
     return Coloring(tuple(colors), palette)
 
 
@@ -360,12 +373,14 @@ def _first_fit_pairs(g: Graph, mask: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _contracted_dsatur(d: Graph, pairs: list[tuple[int, int]]) -> Coloring:
+def _contracted_dsatur(
+    d: Graph, pairs: list[tuple[int, int]], deadline: float = math.inf
+) -> Coloring:
     """DSATUR on d with each pair of non-adjacent vertices contracted into
     its lower vertex, whose row becomes the OR of both; the higher one's
     row is emptied, and it takes the lower one's color. Each row folds
     the higher vertices M_o at offset o = higher - lower down with one
-    shift per offset, not one step per bit."""
+    shift per offset, not one step per bit. DSATUR keeps the deadline."""
     rows = list(d._adj)
     by_offset: dict[int, int] = {}
     for low, high in pairs:
@@ -377,7 +392,7 @@ def _contracted_dsatur(d: Graph, pairs: list[tuple[int, int]]) -> Coloring:
         rows[v] = row & keep
         for offset, moved in by_offset.items():
             rows[v] |= (row & moved) >> offset
-    contracted = dsatur_upper(Graph._from_masks(d.n, rows))
+    contracted = dsatur_upper(Graph._from_masks(d.n, rows), deadline)
     colors = list(contracted.colors)
     for low, high in pairs:
         colors[high] = colors[low]
@@ -389,12 +404,13 @@ def _k_coloring_search(
 ) -> tuple[int, ...] | None:
     """Find a proper k-coloring or prove none exists.
 
-    Branches on the open vertex with the fewest colors left, ties to the
-    lowest id, and tries its colors in increasing order. Only the first
-    unused color may open a new color class, which prunes nothing but
-    palette permutations. The clique, of at most k vertices, is pinned
-    to colors 0..|clique|-1. The clock is read once per step; past the
-    deadline the search raises ``SolverTimeout``.
+    Branches on the open vertex DSATUR's rule picks: the fewest colors
+    left, then the highest degree in g, then the lowest id; it tries the
+    vertex's colors in increasing order. Only the first unused color may
+    open a new color class, which prunes nothing but palette
+    permutations. The clique, of at most k vertices, is pinned to colors
+    0..|clique|-1. The clock is read once per step; past the deadline
+    the search raises ``SolverTimeout``.
 
     The domains are kept as whole-graph masks, with no loop over
     vertices: ``can[c]`` holds the vertices that may still take color c,
@@ -405,14 +421,16 @@ def _k_coloring_search(
     one color left is a wipe-out, found before anything changes. A
     backtrack puts the same mask back and adds the one back by a ripple
     carry, so each frame keeps one mask. The choice narrows the open
-    mask plane by plane from the highest bit down and takes the lowest
-    set bit that is left.
+    mask plane by plane from the highest bit down, colors left first,
+    then ``dsatur_upper``'s degree planes, and takes the lowest set bit
+    that is left.
     """
     n = g.n
     adj = g._adj
     free = (1 << n) - 1
     can = [free] * k
     planes = [free if k >> j & 1 else 0 for j in range(k.bit_length())]
+    degree_planes: list[int] | None = None
     colors = [-1] * n
 
     def assign(v: int, c: int) -> int | None:
@@ -447,14 +465,21 @@ def _k_coloring_search(
             raise SolverTimeout
         if not free:
             return tuple(colors)
+        if degree_planes is None:
+            # after the first read: a spent deadline skips this pass
+            # over every row
+            degree_planes = _degree_planes(g)
         cand = free
         for plane in reversed(planes):
             if narrowed := cand & ~plane:
                 cand = narrowed
+        for plane in degree_planes:
+            if narrowed := cand & plane:
+                cand = narrowed
         v = (cand & -cand).bit_length() - 1
         c = 0
+        top = min(k, used + 1)
         while True:
-            top = min(k, used + 1)
             while c < top and not can[c] >> v & 1:
                 c += 1
             if c < top:
@@ -467,6 +492,7 @@ def _k_coloring_search(
                 c += 1
             elif stack:
                 v, c, used, removed = stack.pop()
+                top = min(k, used + 1)
                 free |= 1 << v
                 can[c] |= removed
                 carry = removed & free
@@ -652,9 +678,9 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
     without the clique search, and the k-search starts at the larger of
     the clique and the class bound. When neither meets the palette, the
     hook adds ``_contracted_dsatur`` on a first-fit matching of each
-    class, gated as commented below, at the cost of one clock read. The
-    degree classes of g are found once and shared with
-    ``delta_complement``.
+    class, gated as commented below, at the cost of one clock read and
+    DSATUR's; past the deadline it gives no colouring. The degree
+    classes of g are found once and shared with ``delta_complement``.
     """
     same = degree_masks(g)
     classes = _largest_first(same)
@@ -671,6 +697,9 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
         if mask.bit_count() - len(pairs) != bound:
             return clique, bound, mask, None
         pairs += [pair for other in classes if other != mask for pair in _first_fit_pairs(g, other)]
-        return clique, bound, mask, _contracted_dsatur(d, pairs)
+        try:
+            return clique, bound, mask, _contracted_dsatur(d, pairs, deadline)
+        except SolverTimeout:
+            return clique, bound, mask, None
 
     return chromatic_number(d, timeout=timeout, certificates=certificates)

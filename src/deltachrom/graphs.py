@@ -102,8 +102,9 @@ class Graph:
         return tuple(iter_bits(self._adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        if not 0 <= u < self.n > v >= 0:
+            self._check_vertex(u)
+            self._check_vertex(v)
         return bool(self._adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:

@@ -273,12 +273,13 @@ def _iter_bits(mask: int):
 
 
 def reference_k_search(g: Graph, k: int, clique, deadline: float = math.inf):
-    """The k-colouring search as it was with per-vertex colour domains:
-    forward checking over one bitmask of colours per vertex, branching on
-    the open vertex with the fewest colours left (ties to the lowest id),
-    colours tried in increasing order, only the first unused colour may
-    open a new class, and the clique pinned to colours 0..|clique|-1.
-    Returns the colour tuple, or None when no k-colouring exists."""
+    """The k-colouring search with per-vertex colour domains: forward
+    checking over one bitmask of colours per vertex, branching on the
+    open vertex DSATUR's rule picks (the fewest colours left, then the
+    highest degree, then the lowest id), colours tried in increasing
+    order, only the first unused colour may open a new class, and the
+    clique pinned to colours 0..|clique|-1. Returns the colour tuple, or
+    None when no k-colouring exists."""
     n = g.n
     adj = [g.adjacency_mask(v) for v in range(n)]
     avail = [(1 << k) - 1] * n
@@ -314,7 +315,7 @@ def reference_k_search(g: Graph, k: int, clique, deadline: float = math.inf):
             raise SolverTimeout
         if not free:
             return tuple(colors)
-        v = min(_iter_bits(free), key=lambda u: avail[u].bit_count())
+        v = min(_iter_bits(free), key=lambda u: (avail[u].bit_count(), -adj[u].bit_count(), u))
         cand = avail[v] & ((1 << min(k, used + 1)) - 1)
         while True:
             if cand:

@@ -324,6 +324,30 @@ class TestDsatur:
         g = delta_complement(generate(parse_spec("X(P40,P40)")))
         assert dsatur_upper(g) == reference_dsatur(g)
 
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3])
+    def test_reads_the_clock_once_per_256_vertices(self, monkeypatch, budget):
+        # 800 vertices: reads after the 256th, 512th and 768th; the
+        # first read past the budget stops it
+        g = delta_complement(term_graph("X(P20,P40)"))
+
+        def call():
+            try:
+                return dsatur_upper(g, deadline=0.0)
+            except chromatic.SolverTimeout:
+                return "timeout"
+
+        result, reads = on_fake_clock(monkeypatch, budget, call)
+        if budget < 3:
+            assert (result, reads) == ("timeout", budget + 1)
+        else:
+            assert (result, reads) == (dsatur_upper(g), 3)
+
+    @given(graphs(max_n=40))
+    def test_no_read_below_256_vertices(self, g):
+        with pytest.MonkeyPatch.context() as m:
+            result, reads = on_fake_clock(m, 0, lambda: dsatur_upper(g, deadline=0.0))
+        assert result == dsatur_upper(g) and reads == 0
+
 
 class TestChromaticNumber:
     def test_cycle_delta(self):
@@ -913,6 +937,21 @@ class TestMatchedColoring:
         assert result.witness == dsatur_upper(delta_complement(g))
         assert (reads, ran) == (5, [])
 
+    def test_a_deadline_inside_the_contraction_keeps_dsaturs_witness(self, monkeypatch):
+        # 9999 vertices. One read sets the deadline, the solve's first
+        # DSATUR makes 39 with no deadline, the class pass one and the
+        # gate one. The contraction's first read, after 256 vertices, is
+        # past the deadline, so the hook gives no colouring, and the
+        # clique search and the k-search stop at their first reads
+        g = term_graph("X(C99,C101)")
+        dsatur = dsatur_upper(delta_complement(g))
+        ran = contractions(monkeypatch)
+        budget = 3 + g.n // 256
+        result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
+        assert (result.lower, result.upper) == (5000, dsatur.palette_size)
+        assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
+        assert (reads, ran) == (budget + 3, [g.n])
+
     @pytest.mark.parametrize("g", [
         # colour sides close the solve
         term_graph("X(C6,P4)"),
@@ -946,9 +985,9 @@ def contractions(monkeypatch):
     ran = []
     contract = chromatic._contracted_dsatur
 
-    def counted(d, pairs):
+    def counted(d, pairs, *deadline):
         ran.append(d.n)
-        return contract(d, pairs)
+        return contract(d, pairs, *deadline)
 
     monkeypatch.setattr(chromatic, "_contracted_dsatur", counted)
     return ran

@@ -62,6 +62,13 @@ class TestConstruction:
             for v in range(4):
                 assert g.has_edge(u, v) == g.has_edge(v, u)
 
+    @pytest.mark.parametrize("u,v,bad", [
+        (-1, 0, -1), (0, -1, -1), (4, 0, 4), (0, 4, 4), (-2, 7, -2), (3, 99, 99),
+    ])
+    def test_has_edge_refuses_ids_out_of_range(self, u, v, bad):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=4$"):
+            Graph(4, [(0, 2), (1, 3)]).has_edge(u, v)
+
 
 class TestDegree:
     def test_path_endpoint(self):

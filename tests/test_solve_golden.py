@@ -7,16 +7,22 @@ benchmark's `search` workload, and its 108 G(n,p) graphs, two per
 ``random.Random(0)``. It was recorded before the k-colouring search
 moved from per-vertex colour domains to per-colour masks, and re-recorded
 when a class bound that meets the palette began to close a solve with no
-clique, and a matched colouring began to give that palette on the tori;
-any change to a witness, a clique or a search tree that reaches a
-solve's answer changes it. To re-record after an intended change, print
+clique, a matched colouring began to give that palette on the tori, and
+the k-colouring search began to branch in DSATUR's order; any change to
+a witness, a clique or a search tree that reaches a solve's answer
+changes it. To re-record after an intended change, print
 ``_digest(_solves())`` and say in CHANGES.md which witnesses changed.
+
+The k-colouring search reads the clock once per step, so the number of
+reads it makes over the same solves pins the size of its search trees.
 """
 
 import hashlib
 import random
+import time
+from types import SimpleNamespace
 
-from deltachrom import Graph, chi_delta, generate, parse_spec
+from deltachrom import Graph, chi_delta, chromatic, generate, parse_spec
 
 SEARCH_TERMS = [
     "X(C5,C5)", "X(C5,C6)", "X(C4,C9)", "X(C5,C7)", "X(P7,C7)", "X(P9,C5)",
@@ -25,7 +31,11 @@ SEARCH_TERMS = [
     "X(S1,4,S1,5)", "X(S1,3,P4)", "X(K5,K6)", "X(C5,C6)",
 ]
 
-GOLDEN = "f56614dd77a95a3382093e8c0d915e1192b471cd3355c8098da0ffa32cf6ecfe"
+GOLDEN = "7095ac865ca62e89b30db42a60f3aa669d74d250f322b58ef390468152763439"
+
+# k-search steps over the 22 terms and the 108 G(n,p) graphs; the
+# lowest-id branching rule took 69 998
+K_SEARCH_STEPS = 44_675
 
 
 def gnp_graphs() -> list[Graph]:
@@ -55,3 +65,26 @@ def _digest(solves) -> str:
 def test_search_solves_are_unchanged():
     assert len(gnp_graphs()) == 108
     assert _digest(_solves()) == GOLDEN
+
+
+def test_k_search_steps_are_pinned(monkeypatch):
+    reads = 0
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        return time.monotonic()
+
+    search = chromatic._k_coloring_search
+
+    def counted(*args):
+        # the clock counts only while the k-search runs
+        with monkeypatch.context() as m:
+            m.setattr(chromatic, "time",
+                      SimpleNamespace(monotonic=clock, perf_counter=time.perf_counter))
+            return search(*args)
+
+    monkeypatch.setattr(chromatic, "_k_coloring_search", counted)
+    for g in [generate(parse_spec(term)) for term in SEARCH_TERMS] + gnp_graphs():
+        assert chi_delta(g).exact
+    assert reads == K_SEARCH_STEPS
