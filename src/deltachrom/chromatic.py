@@ -12,17 +12,18 @@ G[D], which lies in one component C of G[D], so chi >= sum over C of
 ceil(|C|/2). Vertices of D adjacent in G may share a colour, so DSATUR
 on delta(G) with a matching of each class contracted can meet that
 bound. A bound that meets the palette closes the solve with no clique;
-otherwise a branch-and-bound maximum clique gives the lower bound; it
-stops at the first clique of the palette's size, which is maximum
-since omega <= chi <= palette. A k-colorability backtracking search
-(branching in DSATUR's order: fewest colors left, then highest degree,
-then lowest id; color symmetry broken by pinning a maximum clique to
-colors 0..|clique|-1) then decides each k from the larger of the clique
-size and the class bound upward. It keeps its domains as whole-graph
-masks: per color, the vertices that may still take it, and each
-vertex's number of colors left in bit-sliced counts, so a step is a few
-mask operations and no loop over vertices. Each coloring it finds is
-re-checked to be proper before it becomes the witness. Both searches
+otherwise a branch-and-bound maximum clique, pruned by the greedy color
+classes of each node's candidates kept as vertex masks, gives the lower
+bound; it stops at the first clique of the palette's size, which is
+maximum since omega <= chi <= palette. A k-colorability backtracking
+search (branching in DSATUR's order: fewest colors left, then highest
+degree, then lowest id; color symmetry broken by pinning a maximum
+clique to colors 0..|clique|-1) then decides each k from the larger of
+the clique size and the class bound upward. It keeps its domains as
+whole-graph masks: per color, the vertices that may still take it, and
+each vertex's number of colors left in bit-sliced counts, so a step is
+a few mask operations and no loop over vertices. Each coloring it finds
+is re-checked to be proper before it becomes the witness. Both searches
 keep their own stack, so no interpreter setting depends on the graph
 size. They read the clock at every node, the class pass at every class
 and the contraction's DSATUR every 256 vertices, so the deadline is the
@@ -118,29 +119,22 @@ def max_clique_lower(
         return CliqueResult(0, (), True)
     adj = g._adj
 
-    def color_sort(cand: int) -> tuple[list[int], list[int]]:
-        # greedy coloring of the candidate set; bounds ascend with order
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            q = rest
-            klass = 0
+    def color_classes(cand: int) -> list[int]:
+        # greedy colouring of the candidate set: one vertex mask per class
+        classes: list[int] = []
+        while cand:
+            q = rest = cand
             while q:
                 low = q & -q
-                v = low.bit_length() - 1
-                order.append(v)
-                bounds.append(color)
-                klass |= low
-                q &= ~(adj[v] | low)
-            rest &= ~klass
-        return order, bounds
+                q &= ~(adj[low.bit_length() - 1] | low)
+                rest ^= low
+            classes.append(cand ^ rest)
+            cand = rest
+        return classes
 
     best_size = best_mask = 0
-    # one frame per open node: [clique mask, clique size, vertices and
-    # bounds left to branch on (taken from the end), their mask]
+    # one frame per open node: [clique mask, clique size, colour classes
+    # left to branch on (the last one first), their union]
     stack: list[list] = []
     rmask, rsize, cand = 0, 0, (1 << n) - 1
     complete = True
@@ -151,20 +145,23 @@ def max_clique_lower(
                 if rsize > max(best_size, 1):
                     best_size, best_mask = rsize, rmask
                 break
-            order, bounds = color_sort(cand)
-            stack.append([rmask, rsize, order, bounds, cand])
+            stack.append([rmask, rsize, color_classes(cand), cand])
             cand = 0
         frame = stack[-1]
-        rmask, rsize, order, bounds, local = frame
-        if not order or rsize + bounds[-1] <= best_size:
+        rmask, rsize, classes, local = frame
+        if not classes or rsize + len(classes) <= best_size:
             stack.pop()
             if not stack:
                 break
             continue
-        v = order.pop()
-        bounds.pop()
+        last = classes[-1]
+        v = last.bit_length() - 1
         vb = 1 << v
-        frame[4] = local & ~vb
+        if last == vb:
+            classes.pop()
+        else:
+            classes[-1] = last ^ vb
+        frame[3] = local & ~vb
         cand = local & adj[v]
         if cand:
             rmask, rsize = rmask | vb, rsize + 1
@@ -557,7 +554,7 @@ class ChromaticResult:
 def chromatic_number(
     g: Graph,
     timeout: float = DEFAULT_TIMEOUT,
-    certificates: Callable[[int, float], tuple[tuple[int, ...], int, int]] | None = None,
+    certificates: Callable[[int, float], tuple[tuple[int, ...], int, int, Coloring | None]] | None = None,
 ) -> ChromaticResult:
     """Exact chromatic number with a proper witness coloring.
 

@@ -56,14 +56,12 @@ EXIT_INEXACT = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def _default_timeout() -> float:
-    raw = os.environ.get("DELTACHROM_TIMEOUT")
-    return float(raw) if raw else DEFAULT_TIMEOUT
-
-
 def _timeout(args: argparse.Namespace) -> float:
     # the environment is read when the command runs: the parser is built once
-    return _default_timeout() if args.timeout is None else args.timeout
+    if args.timeout is not None:
+        return args.timeout
+    raw = os.environ.get("DELTACHROM_TIMEOUT")
+    return float(raw) if raw else DEFAULT_TIMEOUT
 
 
 def _load_graph(term: str):

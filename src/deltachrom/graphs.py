@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 MAX_PRODUCT_VERTICES = 10_000
 
@@ -110,16 +110,9 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (a, b) with a < b, in lexicographic order."""
         out: list[tuple[int, int]] = []
+        ids = range(self.n)
         for u, mask in enumerate(self._adj):
-            row = mask >> (u + 1)
-            if _is_dense(row):
-                flags = _bit_flags(row)
-                out.extend(zip(repeat(u), compress(range(u + 1, u + 1 + len(flags)), flags)))
-                continue
-            while row:
-                low = row & -row
-                out.append((u, u + low.bit_length()))
-                row ^= low
+            out.extend(zip(repeat(u), _row_names(mask >> (u + 1), ids, u + 1)))
         return out
 
     def edge_count(self) -> int:
@@ -280,7 +273,10 @@ def is_connected(g: Graph) -> bool:
     return seen == (1 << g.n) - 1
 
 
-def _row_names(row: int, names: Sequence[str], start: int) -> Iterable[str]:
+_Name = TypeVar("_Name", str, int)
+
+
+def _row_names(row: int, names: Sequence[_Name], start: int) -> Iterable[_Name]:
     """``names[start + i]`` for each set bit i of ``row``, ascending."""
     if _is_dense(row):
         return compress(names[start : start + row.bit_length()], _bit_flags(row))
@@ -303,15 +299,11 @@ def _iter_edges(
 
 
 def iter_json_edge_list(g: Graph) -> Iterator[str]:
-    """``json_edge_list(g)`` in chunks of one adjacency row."""
+    """The sorted edge list as compact JSON, ``[[a,b],...]`` with a < b,
+    in chunks of one adjacency row."""
     yield "["
     yield from _iter_edges(g, list(map(str, range(g.n))), "[", ",", "]", ",")
     yield "]"
-
-
-def json_edge_list(g: Graph) -> str:
-    """The sorted edge list as compact JSON, ``[[a,b],...]`` with a < b."""
-    return "".join(iter_json_edge_list(g))
 
 
 def iter_json(g: Graph) -> Iterator[str]:

@@ -25,16 +25,15 @@ from .graphs import (
 class DeltaProductDecomposition:
     """The three graphs of the decomposition plus the extra edge set S.
 
-    All live on the same flat vertex ids defined by ``index``; ``extra``
-    is S as a graph on those ids. The edge set of ``delta_of_product``
-    equals that of ``product_of_deltas`` union S; the two sides are in
+    All live on the product's flat vertex ids; ``extra`` is S as a
+    graph on those ids. The edge set of ``delta_of_product`` equals
+    that of ``product_of_deltas`` union S; the two sides are in
     fact disjoint (product-of-deltas edges change exactly one
     coordinate, extra edges at least two), which callers may check but
     should treat as derived rather than definitional.
     """
 
     product: Graph
-    index: ProductIndex
     delta_of_product: Graph
     product_of_deltas: Graph
     extra: Graph
@@ -79,7 +78,6 @@ def delta_of_product(factors: Sequence[Graph]) -> DeltaProductDecomposition:
     product_of_deltas, _ = cartesian_product(deltas)
     return DeltaProductDecomposition(
         product=product,
-        index=index,
         delta_of_product=delta_complement(product),
         product_of_deltas=product_of_deltas,
         extra=_extra_graph(product, index),

@@ -18,7 +18,7 @@ from deltachrom import (
     to_dot,
     to_json,
 )
-from deltachrom.graphs import iter_bits, iter_dot, iter_json, iter_json_edge_list, json_edge_list
+from deltachrom.graphs import iter_bits, iter_dot, iter_json, iter_json_edge_list
 from deltachrom.families import (
     complete_graph,
     cycle_graph,
@@ -309,7 +309,7 @@ class TestSerialization:
 def assert_writers_match_reference(g, colors=None):
     """Each writer, and the join of its row generator, against the reference."""
     assert to_json(g) == "".join(iter_json(g)) == reference_to_json(g)
-    assert json_edge_list(g) == "".join(iter_json_edge_list(g)) == reference_json_edge_list(g)
+    assert "".join(iter_json_edge_list(g)) == reference_json_edge_list(g)
     for one_based in (False, True):
         expected = reference_to_dot(g, colors, one_based)
         assert to_dot(g, colors, one_based) == "".join(iter_dot(g, colors, one_based)) == expected
@@ -354,7 +354,7 @@ class TestWritersMatchReference:
         assert_writers_match_reference(Graph(0))
         assert_writers_match_reference(Graph(0), [])
         assert to_json(Graph(0)) == '{"n":0,"edges":[]}'
-        assert json_edge_list(Graph(0)) == "[]"
+        assert "".join(iter_json_edge_list(Graph(0))) == "[]"
         assert to_dot(Graph(0)) == "graph {\n}\n"
         assert to_dot(Graph(2), [0, 0], one_based=True) == (
             "graph {\n  1 [color=1];\n  2 [color=1];\n}\n"

@@ -13,8 +13,9 @@ a witness, a clique or a search tree that reaches a solve's answer
 changes it. To re-record after an intended change, print
 ``_digest(_solves())`` and say in CHANGES.md which witnesses changed.
 
-The k-colouring search reads the clock once per step, so the number of
-reads it makes over the same solves pins the size of its search trees.
+The k-colouring search reads the clock once per step, and the clique
+search once per node, so the number of reads each makes over the same
+solves pins the size of its search trees.
 """
 
 import hashlib
@@ -36,6 +37,9 @@ GOLDEN = "7095ac865ca62e89b30db42a60f3aa669d74d250f322b58ef390468152763439"
 # k-search steps over the 22 terms and the 108 G(n,p) graphs; the
 # lowest-id branching rule took 69 998
 K_SEARCH_STEPS = 44_675
+
+# clique-search nodes over the same solves
+CLIQUE_NODES = 2_835
 
 
 def gnp_graphs() -> list[Graph]:
@@ -67,7 +71,8 @@ def test_search_solves_are_unchanged():
     assert _digest(_solves()) == GOLDEN
 
 
-def test_k_search_steps_are_pinned(monkeypatch):
+def _clock_reads(monkeypatch, name: str) -> int:
+    """The clock reads made inside ``chromatic.<name>`` over the 130 solves."""
     reads = 0
 
     def clock():
@@ -75,16 +80,24 @@ def test_k_search_steps_are_pinned(monkeypatch):
         reads += 1
         return time.monotonic()
 
-    search = chromatic._k_coloring_search
+    inner = getattr(chromatic, name)
 
-    def counted(*args):
-        # the clock counts only while the k-search runs
+    def counted(*args, **kwargs):
+        # the clock counts only while the wrapped layer runs
         with monkeypatch.context() as m:
             m.setattr(chromatic, "time",
                       SimpleNamespace(monotonic=clock, perf_counter=time.perf_counter))
-            return search(*args)
+            return inner(*args, **kwargs)
 
-    monkeypatch.setattr(chromatic, "_k_coloring_search", counted)
+    monkeypatch.setattr(chromatic, name, counted)
     for g in [generate(parse_spec(term)) for term in SEARCH_TERMS] + gnp_graphs():
         assert chi_delta(g).exact
-    assert reads == K_SEARCH_STEPS
+    return reads
+
+
+def test_k_search_steps_are_pinned(monkeypatch):
+    assert _clock_reads(monkeypatch, "_k_coloring_search") == K_SEARCH_STEPS
+
+
+def test_clique_nodes_are_pinned(monkeypatch):
+    assert _clock_reads(monkeypatch, "max_clique_lower") == CLIQUE_NODES
