@@ -116,7 +116,8 @@ def _product_formula(a: FamilySpec, b: FamilySpec) -> FormulaValue | None:
 
 @dataclass
 class BoundCheck:
-    """One evaluated inequality; skipped (never failed) when out of hypothesis."""
+    """One evaluated inequality and whether its hypothesis holds; no verify
+    row reads that, as the verify checks build only in-hypothesis instances."""
 
     lhs: int
     rhs: int

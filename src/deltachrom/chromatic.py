@@ -1,33 +1,26 @@
 """Exact chromatic number engine with certified lower and upper bounds.
 
 Strategy, in order: a DSATUR coloring gives the upper bound. For
-``chi_delta`` one pass over the degree classes of G comes next: inside
-a degree class D, delta(G) is the complement of G[D], and one
-breadth-first sweep of G[D] gives two certificates. When G[D] is
-bipartite, the larger colour side of each component is independent in
-G[D], so their union is a clique of delta(G); when it meets DSATUR's
-palette, the sandwich certifies the value and nothing else runs. When
-G[D] is triangle-free, a color class of delta(G) meets D in a clique of
-G[D], which lies in one component C of G[D], so chi >= sum over C of
-ceil(|C|/2). Vertices of D adjacent in G may share a colour, so DSATUR
-on delta(G) with a matching of each class contracted can meet that
-bound. A bound that meets the palette closes the solve with no clique;
-otherwise a branch-and-bound maximum clique, pruned by the greedy color
-classes of each node's candidates kept as vertex masks, gives the lower
-bound; it stops at the first clique of the palette's size, which is
-maximum since omega <= chi <= palette. A k-colorability backtracking
-search (branching in DSATUR's order: fewest colors left, then highest
-degree, then lowest id; color symmetry broken by pinning a maximum
-clique to colors 0..|clique|-1) then decides each k from the larger of
-the clique size and the class bound upward. It keeps its domains as
-whole-graph masks: per color, the vertices that may still take it, and
-each vertex's number of colors left in bit-sliced counts, so a step is
-a few mask operations and no loop over vertices. Each coloring it finds
+``chi_delta`` one pass over the degree classes of G comes next, for one
+certificate, the class bound: inside a degree class D, delta(G) is the
+complement of G[D], so a color class of delta(G) meets D in a clique of
+G[D], inside one component C. When G[D] is triangle-free, as a
+bipartite class is, that gives chi >= sum over C of ceil(|C|/2), and
+DSATUR on delta(G) with a matching of each class contracted can meet
+it. A bound that meets the palette closes the solve with no clique.
+Otherwise a branch-and-bound maximum clique, pruned by the greedy color
+classes of each node's candidates, gives the lower bound; it stops at
+the first clique of the palette's size, which is maximum since omega <=
+chi <= palette. A k-colorability backtracking search (in DSATUR's
+order, with a maximum clique pinned to colors 0..|clique|-1 and its
+domains kept as whole-graph masks) then decides each k from the larger
+of the clique size and the class bound upward. Each coloring it finds
 is re-checked to be proper before it becomes the witness. Both searches
 keep their own stack, so no interpreter setting depends on the graph
-size. They read the clock at every node, the class pass at every class
-and the contraction's DSATUR every 256 vertices, so the deadline is the
-one stopping rule and a solve overruns it by at most one step's work.
+size. They read the clock at every node, the class pass at every class,
+and the contraction on entry and every 256 rows it folds or vertices it
+colors, so the deadline is the one stopping rule and a solve overruns
+it by at most one step's work.
 
 Everything is deterministic: ties break toward the lowest vertex id and
 colors are tried in increasing order, so the same graph always yields
@@ -266,27 +259,23 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     return Coloring(tuple(colors), palette)
 
 
-def _class_sweep(g: Graph, mask: int) -> tuple[int | None, int]:
-    """The colour-side set and the pair-cover bound of g[mask].
+def _class_sweep(g: Graph, mask: int) -> tuple[bool, int]:
+    """Whether g[mask] is bipartite, and its pair-cover bound.
 
-    Breadth-first mask sweeps 2-colour each component C of g[mask] by
-    the parity of its layers. An edge inside a layer is an odd cycle,
-    and every triangle has one, so the triangle test looks only at the
-    edges inside a layer. When g[mask] is bipartite the set is the union
-    of the larger side of each component, the odd layers on a tie, and
-    is independent; otherwise it is None. When g[mask] is triangle-free
-    the bound is the sum over C of ceil(|C|/2); otherwise it is 0.
+    Breadth-first mask sweeps walk each component C of g[mask] layer by
+    layer. An edge inside a layer is an odd cycle, and every triangle
+    has one, so g[mask] is bipartite when no layer holds an edge, and
+    the triangle test looks only at the edges inside a layer. When
+    g[mask] is triangle-free the bound is the sum over C of
+    ceil(|C|/2); otherwise it is 0.
     """
     adj = g._adj
-    sides = bound = 0
+    bound = 0
     bipartite = True
     rest = mask
     while rest:
         frontier = seen = rest & -rest
-        layers = [0, 0]
-        parity = 0
         while frontier:
-            layers[parity] |= frontier
             reach = 0
             for v in iter_bits(frontier):
                 reach |= adj[v]
@@ -295,15 +284,12 @@ def _class_sweep(g: Graph, mask: int) -> tuple[int | None, int]:
                 for v in iter_bits(inner):
                     row = adj[v] & mask
                     if any(adj[u] & row for u in iter_bits(row & inner)):
-                        return None, 0
+                        return False, 0
             frontier = reach & mask & ~seen
             seen |= frontier
-            parity ^= 1
         bound += (seen.bit_count() + 1) // 2
-        even, odd = layers
-        sides |= even if even.bit_count() > odd.bit_count() else odd
         rest &= ~seen
-    return (sides if bipartite else None), bound
+    return bipartite, bound
 
 
 def _largest_first(same: dict[int, int]) -> list[int]:
@@ -317,43 +303,29 @@ def class_certificates(
     palette: int,
     deadline: float = math.inf,
     classes: Sequence[int] | None = None,
-) -> tuple[tuple[int, ...], int, int]:
-    """A clique of ``delta_complement(g)`` of ``palette`` vertices, or
-    (), and a lower bound on its chromatic number with the mask of the
-    degree class of g that gives it.
+) -> tuple[int, int, bool]:
+    """A lower bound on the chromatic number of ``delta_complement(g)``,
+    the mask of the degree class of g that gives it, and whether g is
+    bipartite on that class.
 
-    Inside a degree class D, delta(g) is the complement of g[D]. So an
-    independent set of g[D], such as its colour-side set, is a clique of
-    delta(g). A color class of delta(g) meets D in a clique of g[D],
-    which lies in one component of g[D], so the pair-cover bound of a
+    A color class of delta(g) meets a degree class D in a clique of
+    g[D], inside one component, so the pair-cover bound of a
     triangle-free g[D] bounds chi from below (see ``_class_sweep``).
     Classes are swept largest first (ties in the order of their lowest
-    vertex; a caller that has them in that order passes them as
-    ``classes``) while one could still give a clique of the palette's
-    size or beat the best bound so far, since a class bounds chi by at
-    most |D|. The first colour-side set of ``palette`` vertices ends the
-    pass. The clock is read once per class; past the deadline the pass
-    ends with what it has.
+    vertex, as ``classes`` holds them when given) until none left could
+    beat the bound, which is at most |D|, or the bound meets
+    ``palette``. The clock is read once per class; past the deadline the
+    pass ends with what it has.
     """
-    return _class_pass(g, palette, deadline, classes)[:3]
-
-
-def _class_pass(
-    g: Graph, palette: int, deadline: float, classes: Sequence[int] | None
-) -> tuple[tuple[int, ...], int, int, bool]:
-    """``class_certificates``, and whether the bound's class is bipartite."""
     best = best_mask = 0
     bipartite = False
     for mask in classes or _largest_first(degree_masks(g)):
-        size = mask.bit_count()
-        if size < palette and size <= best or time.monotonic() > deadline:
+        if mask.bit_count() <= best or best >= palette or time.monotonic() > deadline:
             break
-        sides, bound = _class_sweep(g, mask)
+        flag, bound = _class_sweep(g, mask)
         if bound > best:
-            best, best_mask, bipartite = bound, mask, sides is not None
-        if sides is not None and sides.bit_count() == palette:
-            return tuple(iter_bits(sides)), best, best_mask, bipartite
-    return (), best, best_mask, bipartite
+            best, best_mask, bipartite = bound, mask, flag
+    return best, best_mask, bipartite
 
 
 def _first_fit_pairs(g: Graph, mask: int) -> list[tuple[int, int]]:
@@ -377,7 +349,12 @@ def _contracted_dsatur(
     its lower vertex, whose row becomes the OR of both; the higher one's
     row is emptied, and it takes the lower one's color. Each row folds
     the higher vertices M_o at offset o = higher - lower down with one
-    shift per offset, not one step per bit. DSATUR keeps the deadline."""
+    shift per offset, not one step per bit. The clock is read on entry,
+    once per 256 folded rows, after the 256th first, and before the
+    contracted graph is built; past the deadline it raises
+    ``SolverTimeout``, and DSATUR keeps the deadline from there."""
+    if time.monotonic() > deadline:
+        raise SolverTimeout
     rows = list(d._adj)
     by_offset: dict[int, int] = {}
     for low, high in pairs:
@@ -389,6 +366,10 @@ def _contracted_dsatur(
         rows[v] = row & keep
         for offset, moved in by_offset.items():
             rows[v] |= (row & moved) >> offset
+        if v & 255 == 255 and time.monotonic() > deadline:
+            raise SolverTimeout
+    if time.monotonic() > deadline:
+        raise SolverTimeout
     contracted = dsatur_upper(Graph._from_masks(d.n, rows), deadline)
     colors = list(contracted.colors)
     for low, high in pairs:
@@ -513,10 +494,9 @@ class ChromaticResult:
     the search refutes raises it by one, so chi lies in [lower, upper].
     ``bound_class`` is the mask of the degree class whose bound raised
     ``lower`` above ``len(clique)``, 0 when none did. The clique is ()
-    when that bound meets the palette: the class certifies the lower
-    end, and no clique search runs. The result is
-    exact when the two ends meet; when the deadline passed first,
-    ``chi`` is None.
+    when that bound, the class pass's one certificate, meets the palette,
+    as a bipartite class's often does, and then no clique search runs.
+    The result is exact when the ends meet; else ``chi`` is None.
     """
 
     lower: int
@@ -554,7 +534,7 @@ class ChromaticResult:
 def chromatic_number(
     g: Graph,
     timeout: float = DEFAULT_TIMEOUT,
-    certificates: Callable[[int, float], tuple[tuple[int, ...], int, int, Coloring | None]] | None = None,
+    certificates: Callable[[int, float], tuple[int, int, Coloring | None]] | None = None,
 ) -> ChromaticResult:
     """Exact chromatic number with a proper witness coloring.
 
@@ -565,16 +545,15 @@ def chromatic_number(
     carries the certified bracket plus the best proper coloring found.
 
     ``certificates(palette, deadline)``, when given, is asked once,
-    after DSATUR and before the clique search, for a clique of g of
-    DSATUR's palette size or (), a lower bound on chi, the mask that
-    certifies it, and a coloring of g or None. A coloring with fewer
-    colors than DSATUR's is re-checked with ``is_proper`` and becomes
-    the witness. A clique it returns is re-checked and closes the solve
-    without the clique search; so does a bound that meets the palette,
-    with the clique (). Otherwise the clique search runs as without the
-    hook. The k-search starts at the larger of the bound and the clique
-    size. A NaN timeout raises ``ValueError``: no clock reading ever
-    passes its deadline.
+    after DSATUR and before the clique search, for a lower bound on
+    chi, the mask that certifies it, and a coloring of g or None. A
+    coloring with fewer colors than DSATUR's is re-checked with
+    ``is_proper`` and becomes the witness. A bound that meets the best
+    palette closes the solve with the clique () and no clique search;
+    otherwise the clique search runs as without the hook. The k-search
+    starts at the larger of the bound and the clique size. A NaN
+    timeout raises ``ValueError``: no clock reading ever passes its
+    deadline.
     """
     if math.isnan(timeout):
         raise ValueError("timeout must be a number of seconds, got nan")
@@ -582,25 +561,17 @@ def chromatic_number(
     deadline = time.monotonic() + timeout
     witness = dsatur_upper(g)
     upper = witness.palette_size
-    clique, bound, bound_class, better = (
-        certificates(upper, deadline) if certificates else ((), 0, 0, None))
+    bound, bound_class, better = certificates(upper, deadline) if certificates else (0, 0, None)
     if better is not None and better.palette_size < upper:
         if not is_proper(g, better):
             raise RuntimeError("internal error: witness verification failed")
         witness, upper = better, better.palette_size
     if bound > upper:
         raise RuntimeError("internal error: lower bound above a proper coloring")
-    if clique:
-        if len(clique) != upper or not is_clique(g, clique):
-            raise RuntimeError("internal error: clique verification failed")
-    elif bound < upper:
-        clique = max_clique_lower(g, deadline, target=upper).vertices
-    lower = len(clique)
-    method = "sandwich" if max(lower, bound) == upper else "branch-and-bound"
-    if bound > lower:
-        lower = bound
-    else:
-        bound_class = 0
+    clique = max_clique_lower(g, deadline, target=upper).vertices if bound < upper else ()
+    lower = max(len(clique), bound)
+    method = "sandwich" if lower == upper else "branch-and-bound"
+    bound_class = bound_class if bound > len(clique) else 0
     try:
         while lower < upper:
             solution = _k_coloring_search(g, lower, clique, deadline)
@@ -671,32 +642,35 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
 
     The solve is ``chromatic_number``'s, with one pass over the degree
     classes of g (see ``class_certificates``) as its certificate hook:
-    a colour-side clique of DSATUR's palette size closes the solve
-    without the clique search, and the k-search starts at the larger of
-    the clique and the class bound. When neither meets the palette, the
-    hook adds ``_contracted_dsatur`` on a first-fit matching of each
-    class, gated as commented below, at the cost of one clock read and
-    DSATUR's; past the deadline it gives no colouring. The degree
-    classes of g are found once and shared with ``delta_complement``.
+    its one certificate is the class bound. A bound that meets DSATUR's
+    palette, as a bipartite class's does on the path and star-path
+    grids, closes the solve without the clique search; otherwise the
+    k-search starts at the larger of the clique and the bound. When the
+    bound is below the palette, the hook adds ``_contracted_dsatur`` on
+    a first-fit matching of each class, gated as commented below, at the
+    cost of one clock read and the contraction's; past the deadline it
+    gives no colouring. The degree classes of g are found once and
+    shared with ``delta_complement``.
     """
     same = degree_masks(g)
     classes = _largest_first(same)
     d = delta_complement(g, same)
 
     def certificates(palette: int, deadline: float):
-        clique, bound, mask, bipartite = _class_pass(g, palette, deadline, classes)
-        # a bipartite class is left out, as its colour sides are a clique
-        # of at least the bound; and the contraction meets the bound only
-        # where the matching leaves that many vertices and pairs in its class
-        if clique or not mask or bipartite or bound == palette or time.monotonic() > deadline:
-            return clique, bound, mask, None
+        bound, mask, bipartite = class_certificates(g, palette, deadline, classes)
+        # a bipartite class is left out: the larger colour side of each of
+        # its components, unbuilt, is a clique of delta of at least the
+        # bound. The contraction meets the bound only where the matching
+        # leaves that many vertices and pairs in its class
+        if not mask or bipartite or bound == palette or time.monotonic() > deadline:
+            return bound, mask, None
         pairs = _first_fit_pairs(g, mask)
         if mask.bit_count() - len(pairs) != bound:
-            return clique, bound, mask, None
+            return bound, mask, None
         pairs += [pair for other in classes if other != mask for pair in _first_fit_pairs(g, other)]
         try:
-            return clique, bound, mask, _contracted_dsatur(d, pairs, deadline)
+            return bound, mask, _contracted_dsatur(d, pairs, deadline)
         except SolverTimeout:
-            return clique, bound, mask, None
+            return bound, mask, None
 
     return chromatic_number(d, timeout=timeout, certificates=certificates)

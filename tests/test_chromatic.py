@@ -459,7 +459,7 @@ class TestChromaticNumber:
             "a = chi_delta(generate(parse_spec('X(P12,P12)')))\n"
             "g = generate(parse_spec('X(C5,C7)'))\n"
             "b = chromatic_number(delta_complement(g), certificates=lambda palette, deadline:\n"
-            "                     (*class_certificates(g, palette, deadline), None))\n"
+            "                     (*class_certificates(g, palette, deadline)[:2], None))\n"
             "print(a.chi, a.method, b.chi, b.method, sys.getrecursionlimit())\n"
         )
         done = subprocess.run(
@@ -530,55 +530,41 @@ def palette_of(g: Graph) -> int:
 class TestClassClique:
     @given(graphs(max_n=12))
     @settings(max_examples=80, deadline=None)
-    def test_is_a_clique_of_the_delta_complement(self, g):
-        # asked for DSATUR's palette or for chi, the pass returns a clique
-        # of exactly that size or none
-        d = delta_complement(g)
-        chi = oracle_chromatic(d)
-        for palette in {dsatur_upper(d).palette_size, chi}:
-            clique, _, _ = class_certificates(g, palette)
-            assert len(clique) in (0, palette)
-            assert is_clique(d, clique) and pairwise_is_clique(d, clique)
-            assert len(clique) <= chi
-
-    @given(graphs(max_n=12))
-    @settings(max_examples=80, deadline=None)
-    def test_colour_sides_are_an_independent_set_within_alpha(self, g):
+    def test_a_bipartite_class_bound_is_within_alpha(self, g):
+        # the flag is whether the class is bipartite; then the larger
+        # colour side of each component is independent, so the bound, the
+        # sum of the components' halves rounded up, is at most alpha
         for mask in degree_masks(g).values():
-            sides, bound = chromatic._class_sweep(g, mask)
+            bipartite, bound = chromatic._class_sweep(g, mask)
             vertices = list(iter_bits(mask))
-            assert (sides is None) == (not brute_is_bipartite(g, vertices))
-            if sides is not None:
-                assert sides & ~mask == 0
-                assert brute_independence_number(g, iter_bits(sides)) == sides.bit_count()
-                assert bound <= sides.bit_count() <= brute_independence_number(g, vertices)
+            assert bipartite == brute_is_bipartite(g, vertices)
+            if bipartite:
+                assert bound <= brute_independence_number(g, vertices)
 
-    @pytest.mark.parametrize("term,chi,closes,unreachable", [
+    @pytest.mark.parametrize("term,chi,bipartite,unreachable", [
         ("X(P6,P7)", 10, True, 2), ("X(S1,5,P9)", 20, True, 1), ("X(S1,4,S1,6)", 24, True, 1),
         ("C8", 4, True, 1), ("X(C6,P4)", 6, True, 2), ("X(C5,C7)", 18, False, 1),
     ])
-    def test_reads_the_clock_once_per_class(self, monkeypatch, term, chi, closes, unreachable):
+    def test_reads_the_clock_once_per_class(self, monkeypatch, term, chi, bipartite, unreachable):
         # asked for chi, the pass sweeps the largest class and stops: it
-        # bounds chi by chi, and but for the torus its colour sides reach
-        # it (the interior 4 x 5 grid, five paths P7, 24 pairwise
-        # non-adjacent leaf pairs, the whole even cycle and a C6 x P2
-        # ladder). A palette no set reaches sweeps each class larger than
-        # the bound so far: the 18 side vertices of X(P6,P7) and the
-        # other ladder of X(C6,P4) too, and no class after them
+        # bounds chi by chi, and but for the torus it is bipartite (the
+        # interior 4 x 5 grid, five paths P7, 24 leaf pairs, the whole even
+        # cycle and a C6 x P2 ladder). A palette no bound reaches sweeps
+        # each class larger than the bound so far: the 18 side vertices of
+        # X(P6,P7) and the other ladder of X(C6,P4) too, and no class
+        # after them
         g = term_graph(term)
-        (clique, bound, _), reads = on_fake_clock(
-            monkeypatch, float("inf"), lambda: class_certificates(g, chi, deadline=0.0))
-        assert (len(clique), bound, reads) == (chi if closes else 0, chi, 1)
-        (clique, bound, _), reads = on_fake_clock(
-            monkeypatch, float("inf"), lambda: class_certificates(g, g.n + 1, deadline=0.0))
-        assert (clique, bound, reads) == ((), chi, unreachable)
+        for palette, read in ((chi, 1), (g.n + 1, unreachable)):
+            (bound, _, flag), reads = on_fake_clock(
+                monkeypatch, float("inf"), lambda: class_certificates(g, palette, deadline=0.0))
+            assert (bound, flag, reads) == (chi, bipartite, read)
 
     @pytest.mark.parametrize("term", ["X(P6,P7)", "X(S1,5,P9)", "X(S1,4,S1,6)", "C8"])
     def test_past_the_deadline_it_is_empty(self, monkeypatch, term):
         g = term_graph(term)
         result, reads = on_fake_clock(
             monkeypatch, 0, lambda: class_certificates(g, palette_of(g), deadline=0.0))
-        assert (result, reads) == (((), 0, 0), 1)
+        assert (result, reads) == ((0, 0, False), 1)
 
     @pytest.mark.parametrize("term", ["X(P6,P7)", "X(S1,5,P9)", "X(C9,P3)", "X(C5,C7)", "W9"])
     def test_expired_deadline_solves_as_before(self, monkeypatch, term):
@@ -600,8 +586,7 @@ class TestClassClique:
         # the corners of the grid workload's ranges
         "X(P10,P40)", "X(P40,P40)", "X(S1,3,P5)", "X(S1,12,P40)", "X(S1,3,S1,20)",
         "X(S1,20,S1,20)",
-        # components whose two sides tie; tests/test_solve_golden.py pins
-        # which side certifies them
+        # two `search` terms whose degree classes are bipartite
         "P14", "X(C10,P3)",
     ])
     def test_bipartite_solves_skip_the_clique_search(self, monkeypatch, term):
@@ -616,27 +601,13 @@ class TestClassClique:
         assert result.exact and result.method == "sandwich"
         assert result.chi == formula_chi_delta(parse_spec(term)).value
         assert result.witness == dsatur_upper(d)
-        assert is_clique(d, result.clique) and len(result.clique) == result.chi
-
-    def test_a_class_of_the_palette_size_is_swept_after_the_bound_meets_it(self, monkeypatch):
-        # C5 plus three isolated vertices: delta is C5 plus K3 and the
-        # palette is 3. The C5 class comes first and bounds chi by 3; the
-        # isolated class, of 3 vertices, still gives the clique
-        g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        assert palette_of(g) == 3
-
-        def no_clique_search(*args, **kwargs):
-            raise AssertionError("the clique search ran")
-
-        monkeypatch.setattr(chromatic, "max_clique_lower", no_clique_search)
-        result = chi_delta(g)
-        assert (result.chi, result.method, result.clique) == (3, "sandwich", (5, 6, 7))
+        assert result.clique == () and result.bound_class
 
     @given(graphs(max_n=10))
     @settings(max_examples=80, deadline=None)
     def test_same_solve_as_without_the_class_clique(self, g):
-        # the class pass changes at most which clique certifies a sandwich,
-        # or closes the solve on its bound with no clique at all
+        # the class pass closes a solve on its bound with no clique at all,
+        # or leaves the clique search as it was
         d = delta_complement(g)
         with_class, without = chi_delta(g), chromatic_number(d)
         assert (with_class.lower, with_class.upper) == (without.lower, without.upper)
@@ -649,21 +620,10 @@ class TestClassClique:
             assert with_class.method == "sandwich" and (with_class.bound_class or not g.n)
             assert is_proper(d, with_class.witness)
 
-    def test_a_false_clique_is_refused(self):
-        # vertices 0..9 of delta(P6 x P7) hold 1 and 2, neighbours on a
-        # side of the grid: one degree class, so not adjacent in delta
-        g = delta_complement(term_graph("X(P6,P7)"))
-        assert dsatur_upper(g).palette_size == 10 and not g.has_edge(1, 2)
-        with pytest.raises(RuntimeError, match="clique verification failed"):
-            chromatic_number(g, certificates=lambda k, deadline: (tuple(range(k)), 0, 0, None))
-        # one vertex is a clique, but not of the palette's size
-        with pytest.raises(RuntimeError, match="clique verification failed"):
-            chromatic_number(g, certificates=lambda k, deadline: ((0,), 0, 0, None))
-
 
 def class_pass_alone(g: Graph):
     """chi_delta's certificate hook without its matched colouring."""
-    return lambda palette, deadline: (*class_certificates(g, palette, deadline), None)
+    return lambda palette, deadline: (*class_certificates(g, palette, deadline)[:2], None)
 
 
 def counted_k_searches(monkeypatch):
@@ -687,12 +647,12 @@ class TestClassBound:
         # clique-cover number, and the result is the largest of them; a
         # palette of n + 1 vertices asks for the bound alone
         d = delta_complement(g)
-        clique, bound, mask = class_certificates(g, g.n + 1)
-        assert clique == () and bound <= oracle_chromatic(d)
+        bound, mask, bipartite = class_certificates(g, g.n + 1)
+        assert bound <= oracle_chromatic(d)
         per_class = [0]
         for klass in degree_masks(g).values():
             vertices = list(iter_bits(klass))
-            _, alone, cert = class_certificates(g, g.n + 1, classes=[klass])
+            alone, cert, _ = class_certificates(g, g.n + 1, classes=[klass])
             assert alone == chromatic._class_sweep(g, klass)[1]
             triangle_free = brute_clique_number(reference_induced_subgraph(g, vertices)) <= 2
             assert (alone > 0) == triangle_free
@@ -702,7 +662,7 @@ class TestClassBound:
             per_class.append(alone)
         assert bound == max(per_class)
         assert mask == 0 if bound == 0 else (
-            class_certificates(g, g.n + 1, classes=[mask]) == ((), bound, mask))
+            class_certificates(g, g.n + 1, classes=[mask]) == (bound, mask, bipartite))
 
     @pytest.mark.parametrize("term,bound,ks", [
         ("X(C5,C7)", 18, [18]), ("X(P9,C5)", 18, [18]), ("X(C4,C9)", 18, [18]),
@@ -719,8 +679,8 @@ class TestClassBound:
         result = chromatic_number(d, certificates=class_pass_alone(g))
         assert calls == ks and result.exact
         assert result.method == ("branch-and-bound" if ks else "sandwich")
-        clique, got, mask = class_certificates(g, palette_of(g))
-        assert clique == () and got == bound
+        got, mask, _ = class_certificates(g, palette_of(g))
+        assert got == bound
         assert result.bound_class == (mask if bound > len(result.clique) else 0)
         without = chromatic_number(d)
         assert (result.chi, result.witness) == (without.chi, without.witness)
@@ -736,7 +696,7 @@ class TestClassBound:
         g = term_graph(term)
         calls = counted_k_searches(monkeypatch)
         result = chi_delta(g)
-        _, _, mask = class_certificates(g, palette_of(g))
+        _, mask, _ = class_certificates(g, palette_of(g))
         assert calls == [] and result.exact and result.chi == bound
         assert (result.method, result.clique, result.bound_class) == ("sandwich", (), mask)
         assert is_proper(delta_complement(g), result.witness)
@@ -770,14 +730,14 @@ class TestClassBound:
     def test_a_bound_above_the_palette_is_refused(self):
         d = delta_complement(term_graph("X(C5,C7)"))
         with pytest.raises(RuntimeError, match="lower bound above a proper coloring"):
-            chromatic_number(d, certificates=lambda k, deadline: ((), k + 1, 1, None))
+            chromatic_number(d, certificates=lambda k, deadline: (k + 1, 1, None))
 
     @pytest.mark.parametrize("term", ["X(C5,C7)", "W9", "X(P9,C5)"])
     def test_past_the_deadline_it_is_zero(self, monkeypatch, term):
         g = term_graph(term)
         assert on_fake_clock(
             monkeypatch, 0, lambda: class_certificates(g, palette_of(g), deadline=0.0)
-        ) == (((), 0, 0), 1)
+        ) == ((0, 0, False), 1)
 
 
 def k_search_on_fake_clock(monkeypatch, g, k, clique, budget=float("inf")):
@@ -883,7 +843,7 @@ class TestMatchedColoring:
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(chromatic, "_k_coloring_search", no_search)
-            result = chromatic_number(d, certificates=lambda k, deadline: ((), 0, 0, coloring))
+            result = chromatic_number(d, certificates=lambda k, deadline: (0, 0, coloring))
         better = coloring.palette_size < dsatur.palette_size
         assert result.witness == (coloring if better else dsatur)
         assert result.upper == min(coloring.palette_size, dsatur.palette_size)
@@ -893,15 +853,14 @@ class TestMatchedColoring:
     def test_the_class_pass_knows_whether_the_bound_class_is_bipartite(self, g):
         # the gate reads it from the class pass, which sweeps that class
         for palette in (dsatur_upper(delta_complement(g)).palette_size, g.n + 1):
-            clique, bound, mask, bipartite = chromatic._class_pass(g, palette, math.inf, None)
-            assert (clique, bound, mask) == class_certificates(g, palette)
+            _, mask, bipartite = class_certificates(g, palette)
             assert bipartite == (mask != 0 and brute_is_bipartite(g, list(iter_bits(mask))))
 
     def test_an_improper_coloring_is_refused(self):
         d = delta_complement(term_graph("X(P6,P7)"))
         one_color = Coloring((0,) * d.n, 1)
         with pytest.raises(RuntimeError, match="witness verification failed"):
-            chromatic_number(d, certificates=lambda k, deadline: ((), 0, 0, one_color))
+            chromatic_number(d, certificates=lambda k, deadline: (0, 0, one_color))
 
     @pytest.mark.parametrize("term,chi", [
         ("X(C7,C9)", 32), ("X(C9,C11)", 50), ("X(C5,C7,P2)", 35), ("X(C5,C5,C5)", 63),
@@ -919,12 +878,13 @@ class TestMatchedColoring:
 
     def test_reads_the_clock_once(self, monkeypatch):
         # one read sets the deadline, one lets the class pass sweep the
-        # torus's one class and one lets the contraction run, which
-        # closes the solve
+        # torus's one class and the hook's one lets the contraction run.
+        # The contraction reads on entry and before it builds the
+        # contracted graph (63 rows make no fold read), and closes the solve
         g = term_graph("X(C7,C9)")
         ran = contractions(monkeypatch)
         result, reads = on_fake_clock(monkeypatch, float("inf"), lambda: chi_delta(g, timeout=1.0))
-        assert (result.chi, result.method, reads, ran) == (32, "sandwich", 3, [g.n])
+        assert (result.chi, result.method, reads, ran) == (32, "sandwich", 5, [g.n])
 
     def test_is_skipped_past_the_deadline(self, monkeypatch):
         # with the third read past the deadline the contraction does not
@@ -940,9 +900,9 @@ class TestMatchedColoring:
     def test_a_deadline_inside_the_contraction_keeps_dsaturs_witness(self, monkeypatch):
         # 9999 vertices. One read sets the deadline, the solve's first
         # DSATUR makes 39 with no deadline, the class pass one and the
-        # gate one. The contraction's first read, after 256 vertices, is
-        # past the deadline, so the hook gives no colouring, and the
-        # clique search and the k-search stop at their first reads
+        # gate one. The contraction's first read, on entry, is past the
+        # deadline, so the hook gives no colouring, and the clique search
+        # and the k-search stop at their first reads
         g = term_graph("X(C99,C101)")
         dsatur = dsatur_upper(delta_complement(g))
         ran = contractions(monkeypatch)
@@ -952,8 +912,32 @@ class TestMatchedColoring:
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
         assert (reads, ran) == (budget + 3, [g.n])
 
+    @pytest.mark.parametrize("folded", [0, 1, 2])
+    def test_a_deadline_inside_the_fold_keeps_dsaturs_witness(self, monkeypatch, folded):
+        # 575 vertices. One read sets the deadline, the solve's first
+        # DSATUR makes 2 with no deadline, the class pass one, the gate
+        # one and the contraction's entry one. Of its two fold reads, one
+        # per 256 rows, `folded` are in time; the next read, in the fold
+        # or, at 2, before the contracted graph is built, is past the
+        # deadline. No DSATUR runs on the contracted graph, and the clique
+        # search and the k-search stop at their first reads
+        g = term_graph("X(C23,C25)")
+        dsatur = dsatur_upper(delta_complement(g))
+        ran, coloured = contractions(monkeypatch), []
+
+        def counted(d, *deadline):
+            coloured.append(d.n)
+            return dsatur_upper(d, *deadline)
+
+        monkeypatch.setattr(chromatic, "dsatur_upper", counted)
+        budget = 4 + g.n // 256 + folded
+        result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
+        assert (result.lower, result.upper) == (288, dsatur.palette_size)
+        assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
+        assert (reads, ran, coloured) == (budget + 3, [g.n], [g.n])
+
     @pytest.mark.parametrize("g", [
-        # colour sides close the solve
+        # a bipartite class whose bound meets DSATUR's palette
         term_graph("X(C6,P4)"),
         # the bound meets DSATUR's palette
         term_graph("X(C5,S1,6)"),

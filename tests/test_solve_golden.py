@@ -7,8 +7,11 @@ benchmark's `search` workload, and its 108 G(n,p) graphs, two per
 ``random.Random(0)``. It was recorded before the k-colouring search
 moved from per-vertex colour domains to per-colour masks, and re-recorded
 when a class bound that meets the palette began to close a solve with no
-clique, a matched colouring began to give that palette on the tori, and
-the k-colouring search began to branch in DSATUR's order; any change to
+clique, a matched colouring began to give that palette on the tori, the
+k-colouring search began to branch in DSATUR's order, and the class
+bound became the class pass's one certificate (P14, X(C10,P3),
+X(S1,3,S1,3), X(S1,4,S1,5) and X(S1,3,P4) close on it with the clique
+() where a colour-side clique certified them); any change to
 a witness, a clique or a search tree that reaches a solve's answer
 changes it. To re-record after an intended change, print
 ``_digest(_solves())`` and say in CHANGES.md which witnesses changed.
@@ -32,14 +35,14 @@ SEARCH_TERMS = [
     "X(S1,4,S1,5)", "X(S1,3,P4)", "X(K5,K6)", "X(C5,C6)",
 ]
 
-GOLDEN = "7095ac865ca62e89b30db42a60f3aa669d74d250f322b58ef390468152763439"
+GOLDEN = "c300358ca719dd0215a0aaa242fdc1354eaf89a4b5b2b30f30e9b4796a018671"
 
 # k-search steps over the 22 terms and the 108 G(n,p) graphs; the
 # lowest-id branching rule took 69 998
 K_SEARCH_STEPS = 44_675
 
 # clique-search nodes over the same solves
-CLIQUE_NODES = 2_835
+CLIQUE_NODES = 2_850
 
 
 def gnp_graphs() -> list[Graph]:
