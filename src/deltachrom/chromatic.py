@@ -18,9 +18,9 @@ of the clique size and the class bound upward. Each coloring it finds
 is re-checked to be proper before it becomes the witness. Both searches
 keep their own stack, so no interpreter setting depends on the graph
 size. They read the clock at every node, the class pass at every class,
-and the contraction on entry and every 256 rows it folds or vertices it
-colors, so the deadline is the one stopping rule and a solve overruns
-it by at most one step's work.
+the matching every 256 pairs, and the contraction on entry and every
+256 rows it folds or vertices it colors, so the deadline is the one
+stopping rule and a solve overruns it by at most one step's work.
 
 Everything is deterministic: ties break toward the lowest vertex id and
 colors are tried in increasing order, so the same graph always yields
@@ -328,9 +328,11 @@ def class_certificates(
     return best, best_mask, bipartite
 
 
-def _first_fit_pairs(g: Graph, mask: int) -> list[tuple[int, int]]:
-    """A first-fit matching of g[mask], as (lower, higher) pairs: the
-    lowest free vertex is matched to its lowest free neighbour."""
+def _first_fit_pairs(g: Graph, mask: int, deadline: float = math.inf) -> list[tuple[int, int]]:
+    """A first-fit matching of g[mask], as (lower, higher) pairs: the lowest
+    free vertex is matched to its lowest free neighbour. The clock is read
+    once per 256 pairs, after the 256th first; past the deadline it raises
+    ``SolverTimeout``."""
     pairs = []
     while mask:
         v = (mask & -mask).bit_length() - 1
@@ -339,6 +341,8 @@ def _first_fit_pairs(g: Graph, mask: int) -> list[tuple[int, int]]:
             u = (free & -free).bit_length() - 1
             mask ^= 1 << u
             pairs.append((v, u))
+            if not len(pairs) & 255 and time.monotonic() > deadline:
+                raise SolverTimeout
     return pairs
 
 
@@ -648,8 +652,8 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
     k-search starts at the larger of the clique and the bound. When the
     bound is below the palette, the hook adds ``_contracted_dsatur`` on
     a first-fit matching of each class, gated as commented below, at the
-    cost of one clock read and the contraction's; past the deadline it
-    gives no colouring. The degree classes of g are found once and
+    cost of one clock read, the matching's and the contraction's; past
+    the deadline it gives no colouring. The degree classes of g are found once and
     shared with ``delta_complement``.
     """
     same = degree_masks(g)
@@ -664,11 +668,12 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
         # leaves that many vertices and pairs in its class
         if not mask or bipartite or bound == palette or time.monotonic() > deadline:
             return bound, mask, None
-        pairs = _first_fit_pairs(g, mask)
-        if mask.bit_count() - len(pairs) != bound:
-            return bound, mask, None
-        pairs += [pair for other in classes if other != mask for pair in _first_fit_pairs(g, other)]
         try:
+            pairs = _first_fit_pairs(g, mask, deadline)
+            if mask.bit_count() - len(pairs) != bound:
+                return bound, mask, None
+            pairs += [pair for other in classes if other != mask
+                      for pair in _first_fit_pairs(g, other, deadline)]
             return bound, mask, _contracted_dsatur(d, pairs, deadline)
         except SolverTimeout:
             return bound, mask, None

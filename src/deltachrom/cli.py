@@ -39,12 +39,11 @@ from .chromatic import DEFAULT_TIMEOUT, chi_delta
 from .constructions import (
     degree_diff_product_coloring,
     join_p3_coloring,
-    on_product,
     path_path_coloring,
     star_path_coloring,
     star_star_coloring,
 )
-from .families import complete_graph, generate, join, parse_spec, path_graph
+from .families import generate, parse_spec
 from .graphs import delta_complement, from_json, iter_dot, iter_json, iter_json_edge_list
 from .structure import delta_of_product, equality_holds
 from .verification import DEFAULT_SEED, check_ids, run_check
@@ -168,17 +167,12 @@ def _solved(term: str, args: argparse.Namespace):
 
 def _join_p3(args: argparse.Namespace, term: str):
     h, ch = _solved(term, args)
-    if ch is None:
-        return None
-    return on_product([join(complete_graph(1), h), path_graph(3)], join_p3_coloring(h, ch))
+    return None if ch is None else join_p3_coloring(h, ch)
 
 
 def _degree_diff(args: argparse.Namespace, term_g: str, term_h: str):
     g, c0 = _solved(term_g, args)
-    if c0 is None:
-        return None
-    h, _ = _load_graph(term_h)
-    return on_product([g, h], degree_diff_product_coloring(g, c0, h))
+    return None if c0 is None else degree_diff_product_coloring(g, c0, _load_graph(term_h)[0])
 
 
 # construction -> (parameter count, its result from the arguments and the

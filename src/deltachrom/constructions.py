@@ -10,9 +10,11 @@ Formulas are written 1-based, matching how these colorings are usually
 stated, and ``_coloring`` translates them in one place: it walks each
 factor's coordinates as the formula numbers them (hub 0 and pendants
 1..m for a star, positions 1..n for a path) and subtracts 1 from every
-color. Every construction is such a rule; path-path's boundary colors
-are worked out from coordinates first. ``on_product`` then builds the
-product, its delta-complement and the clique certificate, given by the
+color. Every construction is such a rule: path-path's boundary colors
+are worked out from coordinates first, and star-path's rows at path
+lengths 3 and 4 are the hub join's and the transposed grid's colors.
+All five return through ``on_product``, which builds the product they
+color, its delta-complement and the clique certificate, given by the
 canonical 0-based coordinates of its vertices.
 """
 
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 from .bounds import ceil_div, degree_difference_set
 from .chromatic import Coloring, is_clique, is_proper
-from .families import empty_graph, is_regular, path_graph, star_graph
+from .families import is_regular, join, path_graph, star_graph
 from .graphs import (
     Graph,
     ProductIndex,
@@ -43,7 +45,8 @@ class ConstructionResult:
 
     ``graph`` is the delta-complement the coloring lives on and
     ``clique`` a pairwise-adjacent vertex set whose size matches the
-    number of colors, so together they pin the exact value.
+    number of colors, so together they pin the exact value. The clique
+    may be (), and ``certified`` then checks properness alone.
     """
 
     graph: Graph
@@ -92,7 +95,7 @@ def _ranks(coloring: Coloring) -> list[int]:
     return [rank[c] for c in coloring.colors]
 
 
-def degree_diff_product_coloring(g: Graph, c0: Coloring, h: Graph) -> Coloring:
+def degree_diff_product_coloring(g: Graph, c0: Coloring, h: Graph) -> ConstructionResult:
     """Proper coloring of the delta-complement of g x h from one of g.
 
     Requires the positive degree-difference sets of g and h to be
@@ -102,7 +105,7 @@ def degree_diff_product_coloring(g: Graph, c0: Coloring, h: Graph) -> Coloring:
     max(colors_used(c0), m(h)), vertex (vg, vh) takes the 1-based color
     (rank(vg) + j - 2) mod p + 1 + (k - 1)p, where rank ranks c0's colors
     from 1 and vh is the k-th member of h's j-th degree class by
-    ascending degree. Uses at most n_max(h) * p colors.
+    ascending degree. Uses at most n_max(h) * p colors; no clique.
     """
     if len(c0.colors) != g.n:
         raise ValueError(f"c0 colors {len(c0.colors)} vertices, g has {g.n}")
@@ -126,16 +129,16 @@ def degree_diff_product_coloring(g: Graph, c0: Coloring, h: Graph) -> Coloring:
         return (rank[vg] + j - 2) % p + 1 + (k - 1) * p
 
     palette = max(map(int.bit_count, classes), default=0) * p
-    return _coloring(palette, color, range(g.n), range(h.n))
+    return on_product([g, h], _coloring(palette, color, range(g.n), range(h.n)))
 
 
-def join_p3_coloring(h: Graph, ch: Coloring) -> Coloring:
+def join_p3_coloring(h: Graph, ch: Coloring) -> ConstructionResult:
     """Proper 2q-coloring of the delta-complement of (K1 v h) x P3.
 
     h must be k-regular with at least 3 vertices and strictly more than
     k + 2 of them, and ch a proper coloring of its delta-complement with
     q >= 2 colors. Copy 1 of h keeps ch, copy 3 gets ch shifted by q,
-    copy 2 a cyclic +1 twist; the hub takes q+1, q+2 and 1.
+    copy 2 a cyclic +1 twist; the hub takes q+1, q+2 and 1. No clique.
     """
     reg = is_regular(h)
     if reg is None:
@@ -151,7 +154,10 @@ def join_p3_coloring(h: Graph, ch: Coloring) -> Coloring:
         raise ValueError(f"need |V(h)| > k + 2, got {h.n} <= {reg} + 2")
     # the colors of copies 1, 2, 3 of the hub, then of each vertex of h
     rows = [(q + 1, q + 2, 1)] + [(c, c % q + 1, c + q) for c in _ranks(ch)]
-    return _coloring(2 * q, lambda v, copy: rows[v][copy - 1], range(h.n + 1), range(1, 4))
+    return on_product(
+        [join(Graph(1), h), path_graph(3)],
+        _coloring(2 * q, lambda v, copy: rows[v][copy - 1], range(h.n + 1), range(1, 4)),
+    )
 
 
 def star_star_coloring(m: int, n: int) -> ConstructionResult:
@@ -180,37 +186,26 @@ def star_star_coloring(m: int, n: int) -> ConstructionResult:
 
 
 def star_path_coloring(m: int, n: int) -> ConstructionResult:
-    """Coloring of the delta-complement of a star-path product.
+    """Exact coloring of the delta-complement of a star-path product.
 
-    Path length 3 reduces to the hub-join construction (2m colors),
-    length 4 to the degree-difference grid with the 4-path as first
-    factor (2m colors, transposed back); for length >= 5 the closed-form
-    km-coloring applies with k = ceil((n-2)/2). The returned clique
-    certificate always matches the number of colors used.
+    For path length n >= 5 the closed-form km-coloring applies with k =
+    ceil((n-2)/2). At n = 3 the hub takes m+1, m+2, 1 along the path and
+    pendant i takes i, i mod m + 1, i + m, as in the hub join; at n = 4
+    the hub takes 1 + (j mod 2) at position j and pendant i takes 2i - (j
+    mod 2), as in the degree-difference grid: 2m colors either way. The
+    returned clique certificate always matches the number of colors.
     """
     if m < 3:
         raise ValueError(f"needs m >= 3 pendants, got {m}")
     if n < 3:
         raise ValueError(f"needs path length n >= 3, got {n}")
-    factors = [star_graph(m), path_graph(n)]
-    pendants = range(1, m + 1)
-
-    if n == 3:
-        # the pendants are 0-regular: their delta-complement is complete
-        coloring = join_p3_coloring(empty_graph(m), Coloring(tuple(range(m)), m))
-        return on_product(factors, coloring, itertools.product(pendants, (0, 2)))
-
-    if n == 4:
-        # delta(P4) is the path 1-0-3-2, so (0, 1, 0, 1) colors it
-        on_p4 = degree_diff_product_coloring(path_graph(4), Coloring((0, 1, 0, 1), 2), factors[0])
-        # vertex (i, j) of the star-path product is vertex (j, i) of P4 x S1,m
-        colors = itertools.chain.from_iterable(on_p4.colors[i :: m + 1] for i in range(m + 1))
-        coloring = Coloring(tuple(colors), on_p4.palette_size)
-        return on_product(factors, coloring, itertools.product(pendants, (0, 3)))
-
-    k = ceil_div(n - 2, 2)
+    k = 2 if n <= 4 else ceil_div(n - 2, 2)
 
     def color(i: int, j: int) -> int:  # j: 1-based path position
+        if n == 3:
+            return ((i, i % m + 1, i + m) if i else (m + 1, m + 2, 1))[j - 1]
+        if n == 4:
+            return 2 * i - j % 2 if i else 1 + j % 2
         if j == 1:
             return i + (k - 1) * m
         if j == n:
@@ -219,11 +214,12 @@ def star_path_coloring(m: int, n: int) -> ConstructionResult:
             return k * m
         return i + (j // 2 - 1) * m
 
-    # the clique holds the pendants at the even positions 2..n-1
+    # the clique holds the pendants at both ends for n <= 4, and at the
+    # even positions 2..n-1 beyond
     return on_product(
-        factors,
+        [star_graph(m), path_graph(n)],
         _coloring(k * m, color, range(m + 1), range(1, n + 1)),
-        itertools.product(pendants, range(1, n - 1, 2)),
+        itertools.product(range(1, m + 1), (0, n - 1) if n <= 4 else range(1, n - 1, 2)),
     )
 
 

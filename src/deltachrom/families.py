@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import MAX_PRODUCT_VERTICES, Graph, SizeLimitError, cartesian_product
+from .graphs import Graph, cartesian_product, check_product_size
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,7 @@ def generate(spec: FamilySpec) -> Graph:
     vertices raises SizeLimitError before anything is built.
     """
     kind = spec.kind
-    size = _vertex_count(spec)
-    if size > MAX_PRODUCT_VERTICES:
-        raise SizeLimitError(
-            f"{kind} has {size} vertices, over the {MAX_PRODUCT_VERTICES} budget"
-        )
+    check_product_size(_vertex_count(spec), kind)
     if kind in _ATOMS:
         (n,) = spec.params
         least, needs, build = _ATOMS[kind]

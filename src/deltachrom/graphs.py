@@ -20,13 +20,11 @@ class SizeLimitError(ValueError):
     """An operation would exceed the configured vertex budget."""
 
 
-def check_product_size(total: int) -> None:
-    """Refuse a product of ``total`` vertices over the budget, before
+def check_product_size(total: int, what: str = "product") -> None:
+    """Refuse a ``what`` of ``total`` vertices over the budget, before
     anything is built for it."""
     if total > MAX_PRODUCT_VERTICES:
-        raise SizeLimitError(
-            f"product has {total} vertices, over the {MAX_PRODUCT_VERTICES} budget"
-        )
+        raise SizeLimitError(f"{what} has {total} vertices, over the {MAX_PRODUCT_VERTICES} budget")
 
 
 # A row with at least 8 set bits, and at least one per this many binary
@@ -326,8 +324,7 @@ def from_json(text: str) -> Graph:
     # bool is a subclass of int, and neither it nor a float is a vertex id
     if type(n) is not int or n < 0:
         raise ValueError(f"graph JSON 'n' must be a non-negative integer, got {n!r}")
-    if n > MAX_PRODUCT_VERTICES:
-        raise SizeLimitError(f"graph has {n} vertices, over the {MAX_PRODUCT_VERTICES} budget")
+    check_product_size(n, "graph")
     # set(map(...)) keeps the per-edge loops in C: a list of lists of two
     # ints has one element type, one length and one vertex type
     if (

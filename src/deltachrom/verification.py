@@ -139,9 +139,9 @@ def _solver_row(params, spec, not_covered, opts, show=attrgetter("chi"),
                        fv is None or res.chi == fv.value, skip=fv is None))
 
 
-def _formula_rows(spec_of, n_range, not_covered, opts, show=attrgetter("chi")) -> Rows:
+def _formula_rows(spec_of, n_range, not_covered, opts) -> Rows:
     for n in _span(opts, "n", n_range):
-        yield _solver_row({"n": n}, spec_of(n), not_covered, opts, show)
+        yield _solver_row({"n": n}, spec_of(n), not_covered, opts)
 
 
 def check_path_formula(opts: dict) -> Rows:

@@ -899,38 +899,50 @@ class TestMatchedColoring:
 
     def test_a_deadline_inside_the_contraction_keeps_dsaturs_witness(self, monkeypatch):
         # 9999 vertices. One read sets the deadline, the solve's first
-        # DSATUR makes 39 with no deadline, the class pass one and the
-        # gate one. The contraction's first read, on entry, is past the
-        # deadline, so the hook gives no colouring, and the clique search
-        # and the k-search stop at their first reads
+        # DSATUR makes 39 with no deadline, the class pass one, the gate
+        # one and the matching's 4999 pairs 19. The contraction's first
+        # read, on entry, is past the deadline, so the hook gives no
+        # colouring, and the clique search and the k-search stop at their
+        # first reads
         g = term_graph("X(C99,C101)")
         dsatur = dsatur_upper(delta_complement(g))
         ran = contractions(monkeypatch)
-        budget = 3 + g.n // 256
+        budget = 3 + g.n // 256 + (g.n // 2) // 256
         result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
         assert (result.lower, result.upper) == (5000, dsatur.palette_size)
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
         assert (reads, ran) == (budget + 3, [g.n])
 
+    def test_a_deadline_inside_the_matching_keeps_dsaturs_witness(self, monkeypatch):
+        # 575 vertices. One read sets the deadline, the solve's first
+        # DSATUR makes 2 with no deadline, the class pass one and the gate
+        # one. The matching's read after its 256th of 287 pairs is past
+        # the deadline, so no contraction runs and no DSATUR on a
+        # contracted graph, and the clique search and the k-search stop
+        # at their first reads
+        g = term_graph("X(C23,C25)")
+        dsatur = dsatur_upper(delta_complement(g))
+        ran, coloured = contractions(monkeypatch), dsaturs(monkeypatch)
+        budget = 3 + g.n // 256
+        result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
+        assert (result.lower, result.upper) == (288, dsatur.palette_size)
+        assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
+        assert (reads, ran, coloured) == (budget + 3, [], [g.n])
+
     @pytest.mark.parametrize("folded", [0, 1, 2])
     def test_a_deadline_inside_the_fold_keeps_dsaturs_witness(self, monkeypatch, folded):
         # 575 vertices. One read sets the deadline, the solve's first
         # DSATUR makes 2 with no deadline, the class pass one, the gate
-        # one and the contraction's entry one. Of its two fold reads, one
+        # one, the matching's one after its 256th of 287 pairs and the
+        # contraction's entry one. Of its two fold reads, one
         # per 256 rows, `folded` are in time; the next read, in the fold
         # or, at 2, before the contracted graph is built, is past the
         # deadline. No DSATUR runs on the contracted graph, and the clique
         # search and the k-search stop at their first reads
         g = term_graph("X(C23,C25)")
         dsatur = dsatur_upper(delta_complement(g))
-        ran, coloured = contractions(monkeypatch), []
-
-        def counted(d, *deadline):
-            coloured.append(d.n)
-            return dsatur_upper(d, *deadline)
-
-        monkeypatch.setattr(chromatic, "dsatur_upper", counted)
-        budget = 4 + g.n // 256 + folded
+        ran, coloured = contractions(monkeypatch), dsaturs(monkeypatch)
+        budget = 5 + g.n // 256 + folded
         result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
         assert (result.lower, result.upper) == (288, dsatur.palette_size)
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
@@ -962,6 +974,18 @@ class TestMatchedColoring:
         assert len(rows) == 100 and all(r.status == "pass" for r in rows)
         assert all(chi_delta(g).exact for g in gnp_graphs())
         assert ran == []
+
+
+def dsaturs(monkeypatch):
+    """The vertex count of every DSATUR run made while the patch holds."""
+    coloured = []
+
+    def counted(d, *deadline):
+        coloured.append(d.n)
+        return dsatur_upper(d, *deadline)
+
+    monkeypatch.setattr(chromatic, "dsatur_upper", counted)
+    return coloured
 
 
 def contractions(monkeypatch):

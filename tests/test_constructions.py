@@ -24,6 +24,7 @@ from deltachrom.families import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    join,
     path_graph,
     star_graph,
 )
@@ -54,11 +55,13 @@ class TestCyclicBlockGrid:
         # degree 0 {1, 2}, 2 {4}, 3 {3, 6} and 4 {0, 5}
         h = Graph(7, [(0, 3), (0, 4), (0, 5), (0, 6), (3, 5), (3, 6), (4, 5), (5, 6)])
         c0 = Coloring((0, 2, 0, 1, 2), 3)
-        coloring = degree_diff_product_coloring(complete_graph(5), c0, h)
-        assert coloring.palette_size == 2 * 4
+        r = degree_diff_product_coloring(complete_graph(5), c0, h)
+        product, _ = cartesian_product([complete_graph(5), h])
+        assert r.graph == delta_complement(product) and is_proper(r.graph, r.coloring)
+        assert r.coloring.palette_size == 2 * 4
         for vg, row in enumerate(grid):
             for value, vh in zip(row, [1, 2, 4, 3, 6, 0, 5]):
-                assert coloring.colors[vg * h.n + vh] == value - 1
+                assert r.coloring.colors[r.index.flat((vg, vh))] == value - 1
 
 
 class TestDegreeDiffProductColoring:
@@ -66,30 +69,34 @@ class TestDegreeDiffProductColoring:
         g = path_graph(4)
         c0 = dsatur_upper(delta_complement(g))
         h = star_graph(3)
-        coloring = degree_diff_product_coloring(g, c0, h)
+        r = degree_diff_product_coloring(g, c0, h)
         product, _ = cartesian_product([g, h])
-        assert is_proper(delta_complement(product), coloring)
-        assert coloring.colors_used <= 3 * max(2, 2)
+        assert r.graph == delta_complement(product)
+        assert is_proper(delta_complement(product), r.coloring)
+        assert r.coloring.colors_used <= 3 * max(2, 2)
 
     def test_columns_follow_ascending_degree_classes(self):
         # S1,3: the pendants 1, 2, 3 (degree 1) are columns 0..2, the hub column 3
         g = path_graph(4)
         c0 = dsatur_upper(delta_complement(g))
         h = star_graph(3)
-        coloring = degree_diff_product_coloring(g, c0, h)
-        ranks = {c: r + 1 for r, c in enumerate(sorted(set(c0.colors)))}
+        r = degree_diff_product_coloring(g, c0, h)
+        product, _ = cartesian_product([g, h])
+        assert r.graph == delta_complement(product) and is_proper(r.graph, r.coloring)
+        ranks = {c: rank + 1 for rank, c in enumerate(sorted(set(c0.colors)))}
         grid = cyclic_block_grid([ranks[c] for c in c0.colors], [3, 1], max(c0.colors_used, 2))
         for vg in range(g.n):
             for column, vh in enumerate([1, 2, 3, 0]):
-                assert coloring.colors[vg * h.n + vh] == grid[vg][column] - 1
+                assert r.coloring.colors[r.index.flat((vg, vh))] == grid[vg][column] - 1
 
     def test_cycle_with_p3(self):
         g = cycle_graph(5)
         c0 = chi_delta(g).witness  # 3 colors
-        coloring = degree_diff_product_coloring(g, c0, path_graph(3))
+        r = degree_diff_product_coloring(g, c0, path_graph(3))
         product, _ = cartesian_product([g, path_graph(3)])
-        assert is_proper(delta_complement(product), coloring)
-        assert coloring.colors_used <= 2 * max(3, 2) == 6
+        assert r.graph == delta_complement(product)
+        assert is_proper(delta_complement(product), r.coloring)
+        assert r.coloring.colors_used <= 2 * max(3, 2) == 6
 
     def test_colliding_degree_difference_named(self):
         g = path_graph(4)
@@ -109,22 +116,20 @@ class TestJoinP3Coloring:
         # 0-regular factor: its delta-complement is complete, m colors
         h = empty_graph(3)
         ch = Coloring((0, 1, 2), 3)
-        coloring = join_p3_coloring(h, ch)
+        r = join_p3_coloring(h, ch)
         product, _ = cartesian_product([star_graph(3), path_graph(3)])
-        assert is_proper(delta_complement(product), coloring)
-        assert coloring.colors_used == 6
+        assert r.graph == delta_complement(product)
+        assert is_proper(delta_complement(product), r.coloring)
+        assert r.coloring.colors_used == 6
 
     def test_wheel_times_p3(self):
         h = cycle_graph(5)
         ch = chi_delta(h).witness  # 3 colors
-        coloring = join_p3_coloring(h, ch)
-        from deltachrom.families import join
-
-        product, _ = cartesian_product(
-            [join(complete_graph(1), h), path_graph(3)]
-        )
-        assert is_proper(delta_complement(product), coloring)
-        assert coloring.colors_used == 6
+        r = join_p3_coloring(h, ch)
+        product, _ = cartesian_product([join(complete_graph(1), h), path_graph(3)])
+        assert r.graph == delta_complement(product)
+        assert is_proper(delta_complement(product), r.coloring)
+        assert r.coloring.colors_used == 6
 
     def test_boundary_hypothesis_rejected(self):
         # |V(h)| > k + 2 fails for the 4-cycle: 4 = 2 + 2
@@ -155,6 +160,19 @@ class TestCertified:
     ])
     def test_constructions_certify(self, build, args):
         assert build(*args).certified()
+
+    # delta(C5) is the cycle 0-2-4-1-3, and delta(P4) the path 1-0-3-2
+    @pytest.mark.parametrize("build,args", [
+        (join_p3_coloring, (cycle_graph(5), Coloring((0, 1, 1, 2, 0), 3))),
+        (join_p3_coloring, (empty_graph(4), Coloring((0, 1, 2, 3), 4))),
+        (degree_diff_product_coloring,
+         (cycle_graph(5), Coloring((0, 1, 1, 2, 0), 3), path_graph(3))),
+        (degree_diff_product_coloring,
+         (path_graph(4), Coloring((0, 1, 0, 1), 2), star_graph(5))),
+    ])
+    def test_cliqueless_constructions_certify_properness(self, build, args):
+        r = build(*args)
+        assert r.clique == () and r.certified()
 
     def test_improper_coloring_fails(self):
         r = star_star_coloring(3, 3)
@@ -220,6 +238,21 @@ class TestStarPath:
         assert r.coloring.colors_used == k * m
         assert_clique(r.graph, r.clique)
         assert len(r.clique) == k * m
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_short_paths_keep_the_reductions_colors(self, m):
+        # n = 3 is the hub join on the pendants, whose delta-complement is
+        # K_m; n = 4 the degree-difference grid on P4 x S1,m, transposed.
+        # Either way the clique is the pendants at both path ends
+        joined = join_p3_coloring(empty_graph(m), Coloring(tuple(range(m)), m))
+        r = star_path_coloring(m, 3)
+        assert (r.graph, r.coloring) == (joined.graph, joined.coloring)
+        assert r.certified() and r.clique == tuple(3 * i + j for i in range(1, m + 1) for j in (0, 2))
+        grid = degree_diff_product_coloring(path_graph(4), Coloring((0, 1, 0, 1), 2), star_graph(m))
+        transposed = tuple(c for i in range(m + 1) for c in grid.coloring.colors[i :: m + 1])
+        r = star_path_coloring(m, 4)
+        assert r.coloring == Coloring(transposed, grid.coloring.palette_size)
+        assert r.certified() and r.clique == tuple(4 * i + j for i in range(1, m + 1) for j in (0, 3))
 
     def test_solver_confirms_proof_value(self):
         assert chi_delta_value(star_path_coloring(3, 3)) == 6
