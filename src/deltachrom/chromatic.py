@@ -653,8 +653,8 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
     bound is below the palette, the hook adds ``_contracted_dsatur`` on
     a first-fit matching of each class, gated as commented below, at the
     cost of one clock read, the matching's and the contraction's; past
-    the deadline it gives no colouring. The degree classes of g are found once and
-    shared with ``delta_complement``.
+    the deadline it gives no colouring. The degree classes of g are
+    found once and shared with ``delta_complement``.
     """
     same = degree_masks(g)
     classes = _largest_first(same)
