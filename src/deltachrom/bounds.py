@@ -23,7 +23,7 @@ def degree_difference_set(g: Graph) -> frozenset[int]:
     return frozenset(b - a for i, a in enumerate(degs) for b in degs[i + 1 :])
 
 
-def _class_counts(g: Graph) -> tuple[int, int]:
+def class_counts(g: Graph) -> tuple[int, int]:
     """m, the number of degree classes of g, and n_max, the largest class size."""
     sizes = [mask.bit_count() for mask in degree_masks(g).values()]
     return len(sizes), max(sizes, default=0)
@@ -135,7 +135,7 @@ def ng_bounds_check(g: Graph, chi: int, chi_d: int) -> tuple[BoundCheck, BoundCh
     least 4 vertices.
     """
     n = g.n
-    m, nmax = _class_counts(g)
+    m, nmax = class_counts(g)
     hyp = n >= 4
     prod_mid = chi * chi_d
     product = BoundCheck(
@@ -164,14 +164,22 @@ def upper_degree_diff_check(
     Hypothesis (evaluated here): the positive degree-difference sets of
     the two factors are disjoint.
     """
-    m_h, n_max_h = _class_counts(h)
     hyp = not (degree_difference_set(g) & degree_difference_set(h))
+    return degree_diff_bound(chi_d_g, chi_d_product, class_counts(h), hyp)
+
+
+def degree_diff_bound(
+    chi_d_g: int, chi_d_product: int, counts_h: tuple[int, int], hypothesis_met: bool = True
+) -> BoundCheck:
+    """``upper_degree_diff_check`` from H's ``class_counts``, for callers
+    that already hold them and know the hypothesis."""
+    m_h, n_max_h = counts_h
     rhs = n_max_h * max(chi_d_g, m_h)
     return BoundCheck(
         lhs=chi_d_product,
         rhs=rhs,
         holds=chi_d_product <= rhs,
-        hypothesis_met=hyp,
+        hypothesis_met=hypothesis_met,
         detail=f"{chi_d_product} <= {n_max_h}*max({chi_d_g},{m_h}) = {rhs}",
     )
 

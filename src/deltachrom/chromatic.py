@@ -17,10 +17,11 @@ domains kept as whole-graph masks) then decides each k from the larger
 of the clique size and the class bound upward. Each coloring it finds
 is re-checked to be proper before it becomes the witness. Both searches
 keep their own stack, so no interpreter setting depends on the graph
-size. They read the clock at every node, the class pass at every class,
-the matching every 256 pairs, and the contraction on entry and every
-256 rows it folds or vertices it colors, so the deadline is the one
-stopping rule and a solve overruns it by at most one step's work.
+size. They read the clock at every node, the class pass at every class
+and every 256 vertices it sweeps, the matching every 256 pairs, and
+the contraction on entry and every 256 rows it folds or vertices it
+colors, so the deadline is the one stopping rule and a solve overruns
+it by at most one step's work.
 
 Everything is deterministic: ties break toward the lowest vertex id and
 colors are tried in increasing order, so the same graph always yields
@@ -184,7 +185,9 @@ def _degree_planes(g: Graph) -> list[int]:
     ]
 
 
-def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
+def dsatur_upper(
+    g: Graph, deadline: float = math.inf, degree_planes: list[int] | None = None
+) -> Coloring:
     """Proper DSATUR coloring; deterministic given the graph.
 
     Vertex choice: maximum saturation, then maximum degree, then lowest
@@ -197,7 +200,8 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     Saturations are kept bit-sliced: ``sat[j]`` holds the vertices
     whose saturation has bit j set, and coloring v with c adds one to
     the uncolored vertices of ``adj[v] & ~seen[c]`` by a ripple carry
-    over the planes. Degrees are sliced the same way once. The choice
+    over the planes. Degrees are sliced the same way once, unless the
+    caller passes ``_degree_planes(g)`` as ``degree_planes``. The choice
     narrows the uncolored mask plane by plane from the highest bit
     down, saturation first, then degree, and takes the lowest set bit
     that is left. The masks ``seen`` are the leaves of a binary tree
@@ -212,7 +216,8 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     if n == 0:
         return Coloring((), 0)
     adj = g._adj
-    degree_planes = _degree_planes(g)
+    if degree_planes is None:
+        degree_planes = _degree_planes(g)
     # first fit never goes past the maximum degree, which is below 2**
     # (number of degree planes), so that many leaves hold every color;
     # leaf `leaves + c` is seen[c]
@@ -259,7 +264,7 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     return Coloring(tuple(colors), palette)
 
 
-def _class_sweep(g: Graph, mask: int) -> tuple[bool, int]:
+def _class_sweep(g: Graph, mask: int, deadline: float = math.inf) -> tuple[bool, int]:
     """Whether g[mask] is bipartite, and its pair-cover bound.
 
     Breadth-first mask sweeps walk each component C of g[mask] layer by
@@ -267,10 +272,13 @@ def _class_sweep(g: Graph, mask: int) -> tuple[bool, int]:
     has one, so g[mask] is bipartite when no layer holds an edge, and
     the triangle test looks only at the edges inside a layer. When
     g[mask] is triangle-free the bound is the sum over C of
-    ceil(|C|/2); otherwise it is 0.
+    ceil(|C|/2); otherwise it is 0. The clock is read at the end of the
+    first layer that brings the vertices swept since the last read to
+    256, so never below 256 vertices; past the deadline the sweep raises
+    ``SolverTimeout``.
     """
     adj = g._adj
-    bound = 0
+    bound = swept = 0
     bipartite = True
     rest = mask
     while rest:
@@ -285,6 +293,11 @@ def _class_sweep(g: Graph, mask: int) -> tuple[bool, int]:
                     row = adj[v] & mask
                     if any(adj[u] & row for u in iter_bits(row & inner)):
                         return False, 0
+            swept += frontier.bit_count()
+            if swept >= 256:
+                swept = 0
+                if time.monotonic() > deadline:
+                    raise SolverTimeout
             frontier = reach & mask & ~seen
             seen |= frontier
         bound += (seen.bit_count() + 1) // 2
@@ -314,15 +327,19 @@ def class_certificates(
     Classes are swept largest first (ties in the order of their lowest
     vertex, as ``classes`` holds them when given) until none left could
     beat the bound, which is at most |D|, or the bound meets
-    ``palette``. The clock is read once per class; past the deadline the
-    pass ends with what it has.
+    ``palette``. The clock is read once per class, and inside a sweep as
+    ``_class_sweep`` reads it; past the deadline the pass ends with what
+    it has.
     """
     best = best_mask = 0
     bipartite = False
     for mask in classes or _largest_first(degree_masks(g)):
         if mask.bit_count() <= best or best >= palette or time.monotonic() > deadline:
             break
-        flag, bound = _class_sweep(g, mask)
+        try:
+            flag, bound = _class_sweep(g, mask, deadline)
+        except SolverTimeout:
+            break
         if bound > best:
             best, best_mask, bipartite = bound, mask, flag
     return best, best_mask, bipartite
@@ -382,7 +399,7 @@ def _contracted_dsatur(
 
 
 def _k_coloring_search(
-    g: Graph, k: int, clique: tuple[int, ...], deadline: float
+    g: Graph, k: int, clique: tuple[int, ...], deadline: float, degree_planes: list[int]
 ) -> tuple[int, ...] | None:
     """Find a proper k-coloring or prove none exists.
 
@@ -404,15 +421,15 @@ def _k_coloring_search(
     backtrack puts the same mask back and adds the one back by a ripple
     carry, so each frame keeps one mask. The choice narrows the open
     mask plane by plane from the highest bit down, colors left first,
-    then ``dsatur_upper``'s degree planes, and takes the lowest set bit
-    that is left.
+    then the degree planes, ``_degree_planes(g)``, which
+    ``chromatic_number`` builds once per solve for DSATUR and each k, and
+    takes the lowest set bit that is left.
     """
     n = g.n
     adj = g._adj
     free = (1 << n) - 1
     can = [free] * k
     planes = [free if k >> j & 1 else 0 for j in range(k.bit_length())]
-    degree_planes: list[int] | None = None
     colors = [-1] * n
 
     def assign(v: int, c: int) -> int | None:
@@ -447,10 +464,6 @@ def _k_coloring_search(
             raise SolverTimeout
         if not free:
             return tuple(colors)
-        if degree_planes is None:
-            # after the first read: a spent deadline skips this pass
-            # over every row
-            degree_planes = _degree_planes(g)
         cand = free
         for plane in reversed(planes):
             if narrowed := cand & ~plane:
@@ -563,7 +576,8 @@ def chromatic_number(
         raise ValueError("timeout must be a number of seconds, got nan")
     start = time.perf_counter()
     deadline = time.monotonic() + timeout
-    witness = dsatur_upper(g)
+    degree_planes = _degree_planes(g)
+    witness = dsatur_upper(g, math.inf, degree_planes)
     upper = witness.palette_size
     bound, bound_class, better = certificates(upper, deadline) if certificates else (0, 0, None)
     if better is not None and better.palette_size < upper:
@@ -578,7 +592,7 @@ def chromatic_number(
     bound_class = bound_class if bound > len(clique) else 0
     try:
         while lower < upper:
-            solution = _k_coloring_search(g, lower, clique, deadline)
+            solution = _k_coloring_search(g, lower, clique, deadline, degree_planes)
             if solution is None:
                 lower += 1
             else:

@@ -243,19 +243,23 @@ def cartesian_product(factors: Sequence[Graph]) -> tuple[Graph, ProductIndex]:
         raise ValueError("product factors must be nonempty")
     index = ProductIndex(tuple(g.n for g in fs))
     check_product_size(index.total)
-    # spread[c] holds factor i's neighbours of coordinate c at bits w * stride_i
-    axes = [
-        ([sum(1 << w * stride for w in iter_bits(m)) for m in g._adj], stride, g.n)
-        for g, stride in zip(fs, index.strides)
-    ]
-    masks = []
-    for v in range(index.total):
-        mv = 0
-        for spread, stride, size in axes:
-            c = v // stride % size
-            mv |= spread[c] << (v - c * stride)
-        masks.append(mv)
-    return Graph._from_masks(index.total, masks), index
+    # Block-wise, from the last factor's rows: with B vertices in the
+    # product of the factors after g, vertex (a, i) of g's block a has
+    # the row of i shifted to that block, plus spread[a] << i, where
+    # spread[a] has a bit at w * B for each neighbour w of a
+    rows = list(fs[-1]._adj)
+    for g in reversed(fs[:-1]):
+        block = len(rows)
+        spread = []
+        for m in g._adj:
+            s = 0
+            while m:
+                low = m & -m
+                s |= 1 << (low.bit_length() - 1) * block
+                m ^= low
+            spread.append(s)
+        rows = [r << a * block | s << i for a, s in enumerate(spread) for i, r in enumerate(rows)]
+    return Graph._from_masks(index.total, rows), index
 
 
 def is_connected(g: Graph) -> bool:
@@ -278,7 +282,12 @@ def _row_names(row: int, names: Sequence[_Name], start: int) -> Iterable[_Name]:
     """``names[start + i]`` for each set bit i of ``row``, ascending."""
     if _is_dense(row):
         return compress(names[start : start + row.bit_length()], _bit_flags(row))
-    return [names[start + i] for i in iter_bits(row)]
+    out = []
+    while row:
+        low = row & -row
+        out.append(names[start + low.bit_length() - 1])
+        row ^= low
+    return out
 
 
 def _iter_edges(

@@ -17,11 +17,12 @@ from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 from .bounds import (
+    class_counts,
+    degree_diff_bound,
     degree_difference_set,
     formula_chi_delta,
     lemma_ceiling_check,
     ng_bounds_check,
-    upper_degree_diff_check,
 )
 from .chromatic import (
     DEFAULT_TIMEOUT,
@@ -324,33 +325,47 @@ def degree_diff_universe(max_product: int = 30) -> list[FamilySpec]:
 def check_degree_diff(opts: dict) -> Rows:
     max_product = opts.get("max", 30)
     timeout = opts.get("timeout", DEFAULT_TIMEOUT)
+    # each factor's name, graph, degree-difference set and class counts
     universe = []
     for spec in degree_diff_universe(max_product):
         g = generate(spec)
-        universe.append((format_spec(spec), g, degree_difference_set(g)))
-    # One solve per product of equal factor graphs, whatever their names
-    # (P2 = K2 = S1,1). The count keeps the pair (K2, K2) apart from K2
-    # alone; a product keeps the factor order of the pair that first met it.
-    solved: dict[tuple[frozenset, int], ChromaticResult] = {}
-    for name_g, g, diffs_g in universe:
-        for name_h, h, diffs_h in universe:
-            if g.n * h.n > max_product or diffs_g & diffs_h:
-                continue  # too large, or not an instance of the bound
-            results = []
-            for factors in ((g, h), (g,)):
-                key = (frozenset(factors), len(factors))
-                if key not in solved:
-                    solved[key] = chi_delta(cartesian_product(factors)[0], timeout=timeout)
-                results.append(solved[key])
-            chi_d_prod, chi_d_g = results
+        universe.append((format_spec(spec), g, degree_difference_set(g), class_counts(g)))
+    # One solve per distinct graph. A product is looked up by its factor
+    # graphs, whatever their names (P2 = K2 = S1,1), and keeps the factor
+    # order of the pair that first met it; the count keeps the pair (K2,
+    # K2) apart from K2 alone. Then by the graph itself: G alone needs no
+    # build, and X(G,P1) is G.
+    by_factors: dict[tuple[frozenset, int], ChromaticResult] = {}
+    by_graph: dict[Graph, ChromaticResult] = {}
+
+    def solve(*factors: Graph) -> ChromaticResult:
+        key = (frozenset(factors), len(factors))
+        if key not in by_factors:
+            g = cartesian_product(factors)[0] if len(factors) > 1 else factors[0]
+            if g not in by_graph:
+                by_graph[g] = chi_delta(g, timeout=timeout)
+            by_factors[key] = by_graph[g]
+        return by_factors[key]
+
+    # the partners of G are the universe members of at most max_product
+    # // |G| vertices, in universe order
+    partners: dict[int, list] = {}
+    for name_g, g, diffs_g, _ in universe:
+        limit = max_product // g.n
+        if limit not in partners:
+            partners[limit] = [entry for entry in universe if entry[1].n <= limit]
+        for name_h, h, diffs_h, counts_h in partners[limit]:
+            if diffs_g & diffs_h:
+                continue  # not an instance of the bound
+            chi_d_prod, chi_d_g = solve(g, h), solve(g)
             params = {"G": name_g, "H": name_h}
             # A cut-short solve still decides the row from its bracket: the
             # bound holds if the product's upper end meets it at chi_delta(G)'s
             # lower end, and fails if the product's lower end exceeds it at
             # chi_delta(G)'s upper end. Only a bracket across the bound is a skip.
-            chk = upper_degree_diff_check(g, h, chi_d_g.lower, chi_d_prod.upper)
+            chk = degree_diff_bound(chi_d_g.lower, chi_d_prod.upper, counts_h)
             if not chk.holds and not (chi_d_g.exact and chi_d_prod.exact):
-                chk = upper_degree_diff_check(g, h, chi_d_g.upper, chi_d_prod.lower)
+                chk = degree_diff_bound(chi_d_g.upper, chi_d_prod.lower, counts_h)
                 if chk.holds:
                     yield _cut_short(params, "<= n_max(H)*max(chi_delta(G),m(H))",
                                      chi_d_prod, chi_d_g)

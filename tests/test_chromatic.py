@@ -631,9 +631,9 @@ def counted_k_searches(monkeypatch):
     ks = []
     search = chromatic._k_coloring_search
 
-    def counted(g, k, clique, deadline):
+    def counted(g, k, clique, *rest):
         ks.append(k)
-        return search(g, k, clique, deadline)
+        return search(g, k, clique, *rest)
 
     monkeypatch.setattr(chromatic, "_k_coloring_search", counted)
     return ks
@@ -739,6 +739,30 @@ class TestClassBound:
             monkeypatch, 0, lambda: class_certificates(g, palette_of(g), deadline=0.0)
         ) == ((0, 0, False), 1)
 
+    @pytest.mark.parametrize("term,reads", [
+        ("X(C23,C25)", 2), ("X(C99,C101)", 31), ("X(P100,P100)", 33), ("X(C7,C9)", 0),
+    ])
+    def test_a_sweep_reads_the_clock_once_per_256_vertices(self, monkeypatch, term, reads):
+        # at the end of each BFS layer that brings the vertices swept since
+        # the last read to 256, so never on a class below 256 vertices
+        g = term_graph(term)
+        mask = max(degree_masks(g).values(), key=int.bit_count)
+        assert on_fake_clock(monkeypatch, float("inf"), lambda: chromatic._class_sweep(
+            g, mask, deadline=0.0)) == (chromatic._class_sweep(g, mask), reads)
+
+    def test_a_deadline_inside_a_sweep_keeps_the_bound_so_far(self, monkeypatch):
+        # X(C23,C25)'s first four rows, a 100-vertex strip with bound 50,
+        # are swept with no read inside. The whole torus comes second: one
+        # read lets its sweep start, and with a budget of 2 the sweep's
+        # first read, after 256 vertices, is past the deadline, so the pass
+        # ends with the strip's bound. With no deadline the torus gives 288
+        g = term_graph("X(C23,C25)")
+        strip, whole = (1 << 100) - 1, (1 << g.n) - 1
+        for budget, expected in ((2, ((50, strip, False), 3)),
+                                 (float("inf"), ((288, whole, False), 4))):
+            assert on_fake_clock(monkeypatch, budget, lambda: class_certificates(
+                g, g.n, 0.0, classes=[strip, whole])) == expected
+
 
 def k_search_on_fake_clock(monkeypatch, g, k, clique, budget=float("inf")):
     """_k_coloring_search with a deadline that passes after ``budget``
@@ -747,7 +771,7 @@ def k_search_on_fake_clock(monkeypatch, g, k, clique, budget=float("inf")):
 
     def call():
         try:
-            return chromatic._k_coloring_search(g, k, clique, 0.0)
+            return chromatic._k_coloring_search(g, k, clique, 0.0, chromatic._degree_planes(g))
         except chromatic.SolverTimeout:
             return "timeout"
 
@@ -760,7 +784,7 @@ def assert_same_k_search_as_reference(g):
     clique = max_clique_lower(g).vertices
     chi = oracle_chromatic(g) if g.n <= chromatic.ORACLE_VERTEX_LIMIT else None
     for k in range(len(clique), dsatur_upper(g).palette_size + 1):
-        got = chromatic._k_coloring_search(g, k, clique, math.inf)
+        got = chromatic._k_coloring_search(g, k, clique, math.inf, chromatic._degree_planes(g))
         assert got == reference_k_search(g, k, clique)
         if got is not None:
             assert is_proper(g, Coloring(got, k))
@@ -803,7 +827,7 @@ class TestKColoringSearch:
     def test_an_improper_coloring_is_refused(self, monkeypatch):
         g = term_graph("X(C5,C7)")
         monkeypatch.setattr(chromatic, "_k_coloring_search",
-                            lambda g, k, clique, deadline: (0,) * g.n)
+                            lambda g, k, *rest: (0,) * g.n)
         with pytest.raises(RuntimeError, match="witness verification failed"):
             chromatic_number(delta_complement(g), certificates=class_pass_alone(g))
 
@@ -899,31 +923,47 @@ class TestMatchedColoring:
 
     def test_a_deadline_inside_the_contraction_keeps_dsaturs_witness(self, monkeypatch):
         # 9999 vertices. One read sets the deadline, the solve's first
-        # DSATUR makes 39 with no deadline, the class pass one, the gate
-        # one and the matching's 4999 pairs 19. The contraction's first
-        # read, on entry, is past the deadline, so the hook gives no
-        # colouring, and the clique search and the k-search stop at their
-        # first reads
+        # DSATUR makes 39 with no deadline, the class pass one and its
+        # sweep of the one class 31, the gate one and the matching's 4999
+        # pairs 19. The contraction's first read, on entry, is past the
+        # deadline, so the hook gives no colouring, and the clique search
+        # and the k-search stop at their first reads
         g = term_graph("X(C99,C101)")
         dsatur = dsatur_upper(delta_complement(g))
         ran = contractions(monkeypatch)
-        budget = 3 + g.n // 256 + (g.n // 2) // 256
+        budget = 3 + g.n // 256 + 31 + (g.n // 2) // 256
         result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
         assert (result.lower, result.upper) == (5000, dsatur.palette_size)
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
         assert (reads, ran) == (budget + 3, [g.n])
 
+    def test_a_deadline_inside_the_class_sweep_keeps_dsaturs_witness(self, monkeypatch):
+        # 575 vertices. One read sets the deadline, the solve's first
+        # DSATUR makes 2 with no deadline, the class pass one and its
+        # sweep's first. Its second is past the deadline, so the pass has
+        # no bound and the hook no class to match. The clique search stops
+        # at its first read; k = 1 falls on the pinned vertex's first
+        # neighbour before any read, and k = 2 stops at its first read
+        g = term_graph("X(C23,C25)")
+        dsatur = dsatur_upper(delta_complement(g))
+        ran = contractions(monkeypatch)
+        budget = 2 + g.n // 256 + 1
+        result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
+        assert (result.lower, result.upper, result.clique) == (2, dsatur.palette_size, (0,))
+        assert result.witness == dsatur and result.bound_class == 0
+        assert (reads, ran) == (budget + 3, [])
+
     def test_a_deadline_inside_the_matching_keeps_dsaturs_witness(self, monkeypatch):
         # 575 vertices. One read sets the deadline, the solve's first
-        # DSATUR makes 2 with no deadline, the class pass one and the gate
-        # one. The matching's read after its 256th of 287 pairs is past
-        # the deadline, so no contraction runs and no DSATUR on a
-        # contracted graph, and the clique search and the k-search stop
-        # at their first reads
+        # DSATUR makes 2 with no deadline, the class pass one and its
+        # sweep 2, and the gate one. The matching's read after its 256th
+        # of 287 pairs is past the deadline, so no contraction runs and no
+        # DSATUR on a contracted graph, and the clique search and the
+        # k-search stop at their first reads
         g = term_graph("X(C23,C25)")
         dsatur = dsatur_upper(delta_complement(g))
         ran, coloured = contractions(monkeypatch), dsaturs(monkeypatch)
-        budget = 3 + g.n // 256
+        budget = 3 + g.n // 256 + 2
         result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
         assert (result.lower, result.upper) == (288, dsatur.palette_size)
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
@@ -932,17 +972,17 @@ class TestMatchedColoring:
     @pytest.mark.parametrize("folded", [0, 1, 2])
     def test_a_deadline_inside_the_fold_keeps_dsaturs_witness(self, monkeypatch, folded):
         # 575 vertices. One read sets the deadline, the solve's first
-        # DSATUR makes 2 with no deadline, the class pass one, the gate
-        # one, the matching's one after its 256th of 287 pairs and the
-        # contraction's entry one. Of its two fold reads, one
-        # per 256 rows, `folded` are in time; the next read, in the fold
-        # or, at 2, before the contracted graph is built, is past the
-        # deadline. No DSATUR runs on the contracted graph, and the clique
-        # search and the k-search stop at their first reads
+        # DSATUR makes 2 with no deadline, the class pass one and its
+        # sweep 2, the gate one, the matching's one after its 256th of
+        # 287 pairs and the contraction's entry one. Of its two fold
+        # reads, one per 256 rows, `folded` are in time; the next read, in
+        # the fold or, at 2, before the contracted graph is built, is past
+        # the deadline. No DSATUR runs on the contracted graph, and the
+        # clique search and the k-search stop at their first reads
         g = term_graph("X(C23,C25)")
         dsatur = dsatur_upper(delta_complement(g))
         ran, coloured = contractions(monkeypatch), dsaturs(monkeypatch)
-        budget = 5 + g.n // 256 + folded
+        budget = 5 + g.n // 256 + 2 + folded
         result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
         assert (result.lower, result.upper) == (288, dsatur.palette_size)
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1

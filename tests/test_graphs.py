@@ -194,6 +194,22 @@ class TestCartesianProduct:
         product, _ = cartesian_product([g, h])
         assert set(product.edges()) == naive_product_edges([g, h])
 
+    @given(st.lists(graphs(min_n=1, max_n=4), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_one_to_three_factors_match_naive_product(self, factors):
+        # one factor is the factor itself, a size-1 factor adds nothing,
+        # and each id's coordinates follow the per-vertex rule
+        # v // stride % size, last coordinate fastest
+        product, idx = cartesian_product(factors)
+        assert set(product.edges()) == naive_product_edges(factors)
+        assert idx.sizes == tuple(g.n for g in factors) and product.n == idx.total
+        if len(factors) == 1:
+            assert product == factors[0]
+        for v in range(product.n):
+            coords = idx.unflat(v)
+            assert coords == tuple(v // st % size for st, size in zip(idx.strides, idx.sizes))
+            assert idx.flat(coords) == v
+
     @given(graphs(min_n=1, max_n=4), graphs(min_n=1, max_n=4))
     def test_degree_additivity(self, g, h):
         product, idx = cartesian_product([g, h])

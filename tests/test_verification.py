@@ -156,24 +156,35 @@ class TestRowsFollowTheTable:
         assert run_check(check_id, opts)[0].status == "fail"
 
 
+def counted_degree_diff_solves(monkeypatch, opts):
+    """The degree-diff rows for opts, and the graph of each chi_delta call."""
+    import deltachrom.verification as verification
+
+    calls = []
+    original = verification.chi_delta
+
+    def counted(g, **kwargs):
+        calls.append(g)
+        return original(g, **kwargs)
+
+    monkeypatch.setattr(verification, "chi_delta", counted)
+    return run_check("degree-diff", opts), calls
+
+
 class TestDegreeDiff:
     def test_each_graph_pair_is_solved_once(self, monkeypatch):
-        import deltachrom.verification as verification
-
-        calls = []
-        original = verification.chi_delta
-
-        def counted(g, **kwargs):
-            calls.append(g)
-            return original(g, **kwargs)
-
-        monkeypatch.setattr(verification, "chi_delta", counted)
-        rows = run_check("degree-diff", {"max": 12})
+        rows, calls = counted_degree_diff_solves(monkeypatch, {"max": 12})
         assert len(rows) == 321
         # P1 = K1, P2 = K2 = S1,1 and C3 = K3 are one graph each, and so is
-        # every product of them, whichever name each factor has
-        assert len(calls) == 111
+        # every product of them, whichever name each factor has; X(G,P1)
+        # and X(P1,G) are G, and G alone is solved with no product built
+        assert len(calls) == 70 == len(set(calls))
         assert not [r for r in rows if r.status != "pass"]
+
+    def test_the_default_run_solves_each_distinct_graph_once(self, monkeypatch):
+        rows, calls = counted_degree_diff_solves(monkeypatch, {})
+        assert len(rows) == 1141 and not [r for r in rows if r.status != "pass"]
+        assert len(calls) == 314 == len(set(calls))
 
     def test_a_square_is_not_its_side(self):
         # the pair (K2, K2) must not share a solve with K2 alone

@@ -1,11 +1,12 @@
-"""`verify all` output pinned by SHA-256 digests.
+"""`verify` output pinned by SHA-256 digests.
 
-The digests were recorded from the verify harness before it was rewritten
-as row generators; a change to any row, its order or its text changes a
-digest. The CSV is compared without its timing column, which varies from
-run to run. To re-record after an intended output change, print
-``_digest(*_output(argv))`` for each case and say in CHANGES.md why the
-rows changed.
+The `verify all` digests were recorded from the verify harness before it
+was rewritten as row generators, and the `degree-diff --max 60` one
+before degree-diff shared one solve among equal graphs; a change to any
+row, its order or its text changes a digest. The CSV is compared
+without its timing column, which varies from run to run. To re-record
+after an intended output change, print ``_digest(*_output(argv))`` for
+each case and say in CHANGES.md why the rows changed.
 """
 
 import hashlib
@@ -25,6 +26,8 @@ GOLDEN = {
         3, "a174de289103bafe59bc93408f28b466eb413310a445d51967aecc341b6e8f8d"),
     ("verify", "all", "--trials", "5", "--max", "12"): (
         0, "d64f3534aac94b3f378271a141ee85531034c0260d6c06e7328c7dfd10b9d6d2"),
+    ("verify", "degree-diff", "--max", "60"): (
+        0, "e8a7f55ad481ebc67f174e3bdd3555c123706e466e7fae04ac7094570ae1e96a"),
 }
 
 
