@@ -19,7 +19,7 @@ def ceil_div(a: int, b: int) -> int:
 
 def degree_difference_set(g: Graph) -> frozenset[int]:
     """All positive pairwise degree differences occurring in g."""
-    degs = sorted(set(g.degrees()))
+    degs = sorted(degree_masks(g))
     return frozenset(b - a for i, a in enumerate(degs) for b in degs[i + 1 :])
 
 

@@ -185,9 +185,7 @@ def _degree_planes(g: Graph) -> list[int]:
     ]
 
 
-def dsatur_upper(
-    g: Graph, deadline: float = math.inf, degree_planes: list[int] | None = None
-) -> Coloring:
+def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     """Proper DSATUR coloring; deterministic given the graph.
 
     Vertex choice: maximum saturation, then maximum degree, then lowest
@@ -200,24 +198,22 @@ def dsatur_upper(
     Saturations are kept bit-sliced: ``sat[j]`` holds the vertices
     whose saturation has bit j set, and coloring v with c adds one to
     the uncolored vertices of ``adj[v] & ~seen[c]`` by a ripple carry
-    over the planes. Degrees are sliced the same way once, unless the
-    caller passes ``_degree_planes(g)`` as ``degree_planes``. The choice
-    narrows the uncolored mask plane by plane from the highest bit
-    down, saturation first, then degree, and takes the lowest set bit
-    that is left. The masks ``seen`` are the leaves of a binary tree
-    whose every inner node is the AND of its two children, that is the
-    vertices that see every color below it; first fit descends it to
-    the lowest color v does not see, going left unless the left
-    child's mask holds v. The clock is read once per 256 colored
-    vertices, after the 256th first; past the deadline DSATUR raises
-    ``SolverTimeout``.
+    over the planes. Degrees are sliced the same way, from the degree
+    classes g keeps (``_degree_planes``). The choice narrows the
+    uncolored mask plane by plane from the highest bit down, saturation
+    first, then degree, and takes the lowest set bit that is left. The
+    masks ``seen`` are the leaves of a binary tree whose every inner
+    node is the AND of its two children, that is the vertices that see
+    every color below it; first fit descends it to the lowest color v
+    does not see, going left unless the left child's mask holds v. The
+    clock is read once per 256 colored vertices, after the 256th first;
+    past the deadline DSATUR raises ``SolverTimeout``.
     """
     n = g.n
     if n == 0:
         return Coloring((), 0)
     adj = g._adj
-    if degree_planes is None:
-        degree_planes = _degree_planes(g)
+    degree_planes = _degree_planes(g)
     # first fit never goes past the maximum degree, which is below 2**
     # (number of degree planes), so that many leaves hold every color;
     # leaf `leaves + c` is seen[c]
@@ -305,12 +301,6 @@ def _class_sweep(g: Graph, mask: int, deadline: float = math.inf) -> tuple[bool,
     return bipartite, bound
 
 
-def _largest_first(same: dict[int, int]) -> list[int]:
-    """The class masks of ``degree_masks``, largest first, ties in the
-    order of their lowest vertex."""
-    return sorted(same.values(), key=int.bit_count, reverse=True)
-
-
 def class_certificates(
     g: Graph,
     palette: int,
@@ -324,16 +314,16 @@ def class_certificates(
     A color class of delta(g) meets a degree class D in a clique of
     g[D], inside one component, so the pair-cover bound of a
     triangle-free g[D] bounds chi from below (see ``_class_sweep``).
-    Classes are swept largest first (ties in the order of their lowest
-    vertex, as ``classes`` holds them when given) until none left could
-    beat the bound, which is at most |D|, or the bound meets
-    ``palette``. The clock is read once per class, and inside a sweep as
-    ``_class_sweep`` reads it; past the deadline the pass ends with what
-    it has.
+    Classes are swept largest first, ties in the order of their lowest
+    vertex, or in the order ``classes`` holds other masks when given,
+    until none left could beat the bound, which is at most |D|, or the
+    bound meets ``palette``. The clock is read once per class, and
+    inside a sweep as ``_class_sweep`` reads it; past the deadline the
+    pass ends with what it has.
     """
     best = best_mask = 0
     bipartite = False
-    for mask in classes or _largest_first(degree_masks(g)):
+    for mask in classes or sorted(degree_masks(g).values(), key=int.bit_count, reverse=True):
         if mask.bit_count() <= best or best >= palette or time.monotonic() > deadline:
             break
         try:
@@ -399,7 +389,7 @@ def _contracted_dsatur(
 
 
 def _k_coloring_search(
-    g: Graph, k: int, clique: tuple[int, ...], deadline: float, degree_planes: list[int]
+    g: Graph, k: int, clique: tuple[int, ...], deadline: float
 ) -> tuple[int, ...] | None:
     """Find a proper k-coloring or prove none exists.
 
@@ -421,15 +411,15 @@ def _k_coloring_search(
     backtrack puts the same mask back and adds the one back by a ripple
     carry, so each frame keeps one mask. The choice narrows the open
     mask plane by plane from the highest bit down, colors left first,
-    then the degree planes, ``_degree_planes(g)``, which
-    ``chromatic_number`` builds once per solve for DSATUR and each k, and
-    takes the lowest set bit that is left.
+    then the degree planes, ``_degree_planes(g)``, sliced from the degree
+    classes g keeps, and takes the lowest set bit that is left.
     """
     n = g.n
     adj = g._adj
     free = (1 << n) - 1
     can = [free] * k
     planes = [free if k >> j & 1 else 0 for j in range(k.bit_length())]
+    degree_planes: list[int] | None = None
     colors = [-1] * n
 
     def assign(v: int, c: int) -> int | None:
@@ -464,6 +454,9 @@ def _k_coloring_search(
             raise SolverTimeout
         if not free:
             return tuple(colors)
+        if degree_planes is None:
+            # after the first read: a spent deadline skips this build
+            degree_planes = _degree_planes(g)
         cand = free
         for plane in reversed(planes):
             if narrowed := cand & ~plane:
@@ -576,8 +569,7 @@ def chromatic_number(
         raise ValueError("timeout must be a number of seconds, got nan")
     start = time.perf_counter()
     deadline = time.monotonic() + timeout
-    degree_planes = _degree_planes(g)
-    witness = dsatur_upper(g, math.inf, degree_planes)
+    witness = dsatur_upper(g)
     upper = witness.palette_size
     bound, bound_class, better = certificates(upper, deadline) if certificates else (0, 0, None)
     if better is not None and better.palette_size < upper:
@@ -592,7 +584,7 @@ def chromatic_number(
     bound_class = bound_class if bound > len(clique) else 0
     try:
         while lower < upper:
-            solution = _k_coloring_search(g, lower, clique, deadline, degree_planes)
+            solution = _k_coloring_search(g, lower, clique, deadline)
             if solution is None:
                 lower += 1
             else:
@@ -667,15 +659,12 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
     bound is below the palette, the hook adds ``_contracted_dsatur`` on
     a first-fit matching of each class, gated as commented below, at the
     cost of one clock read, the matching's and the contraction's; past
-    the deadline it gives no colouring. The degree classes of g are
-    found once and shared with ``delta_complement``.
+    the deadline it gives no colouring.
     """
-    same = degree_masks(g)
-    classes = _largest_first(same)
-    d = delta_complement(g, same)
+    d = delta_complement(g)
 
     def certificates(palette: int, deadline: float):
-        bound, mask, bipartite = class_certificates(g, palette, deadline, classes)
+        bound, mask, bipartite = class_certificates(g, palette, deadline)
         # a bipartite class is left out: the larger colour side of each of
         # its components, unbuilt, is a clique of delta of at least the
         # bound. The contraction meets the bound only where the matching
@@ -686,7 +675,7 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
             pairs = _first_fit_pairs(g, mask, deadline)
             if mask.bit_count() - len(pairs) != bound:
                 return bound, mask, None
-            pairs += [pair for other in classes if other != mask
+            pairs += [pair for other in degree_masks(g).values() if other != mask
                       for pair in _first_fit_pairs(g, other, deadline)]
             return bound, mask, _contracted_dsatur(d, pairs, deadline)
         except SolverTimeout:

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, cartesian_product, check_product_size
+from .graphs import Graph, cartesian_product, check_product_size, degree_masks
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def is_regular(g: Graph) -> int | None:
     """The common degree if g is regular, else None. Rejects the empty graph."""
     if g.n == 0:
         raise ValueError("regularity is undefined for the empty graph")
-    degs = set(g.degrees())
+    degs = degree_masks(g)
     if len(degs) == 1:
         return next(iter(degs))
     return None

@@ -3,7 +3,8 @@
 Vertices are dense integer ids ``0..n-1``; adjacency is one Python int
 bitmask per vertex, which keeps complements, delta-complements and
 product assembly cheap at desk scale. All operations return new graphs,
-so instances can be shared freely, including across threads.
+and the degree classes a graph keeps from its first use are the same
+whichever thread finds them, so instances can be shared across threads.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from typing import Iterable, Iterator, Sequence, TypeVar
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 MAX_PRODUCT_VERTICES = 10_000
 
@@ -59,7 +61,7 @@ class Graph:
     adjacency, all neighbor ids in range.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_classes")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -74,6 +76,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
+        self._classes: Mapping[int, int] | None = None
 
     @classmethod
     def _from_masks(cls, n: int, masks: Sequence[int]) -> "Graph":
@@ -81,6 +84,7 @@ class Graph:
         g = cls.__new__(cls)
         g.n = n
         g._adj = tuple(masks)
+        g._classes = None
         return g
 
     def _check_vertex(self, v: int) -> None:
@@ -116,9 +120,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self._adj)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -131,8 +132,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-def degree_masks(g: Graph) -> dict[int, int]:
-    """The mask of the vertices of each degree, keyed by the degree."""
+def degree_masks(g: Graph) -> Mapping[int, int]:
+    """The mask of the vertices of each degree, keyed by the degree in the
+    order of the lowest vertex: found once and kept on g, read-only."""
+    if g._classes is None:
+        g._classes = MappingProxyType(_find_degree_masks(g))
+    return g._classes
+
+
+def _find_degree_masks(g: Graph) -> dict[int, int]:
     same: dict[int, int] = {}
     for v, row in enumerate(g._adj):
         d = row.bit_count()
@@ -146,17 +154,15 @@ def complement(g: Graph) -> Graph:
     return Graph._from_masks(g.n, masks)
 
 
-def delta_complement(g: Graph, same: dict[int, int] | None = None) -> Graph:
+def delta_complement(g: Graph) -> Graph:
     """Flip adjacency inside each degree class, keep it across classes.
 
     Edge rule: uv is an edge of the result iff either d(u) = d(v) and uv
     is a non-edge of g, or d(u) != d(v) and uv is an edge of g, with
-    degrees measured in g. ``same`` is ``degree_masks(g)`` when the
-    caller already has it.
+    degrees measured in g.
     """
     full = (1 << g.n) - 1
-    if same is None:
-        same = degree_masks(g)
+    same = degree_masks(g)
     masks = []
     for v in range(g.n):
         s = same[g._adj[v].bit_count()]

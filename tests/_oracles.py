@@ -250,7 +250,7 @@ def reference_dsatur(g: Graph) -> Coloring:
     id, takes the lowest colour no neighbour has."""
     colors = [-1] * g.n
     neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
-    degrees = g.degrees()
+    degrees = [g.degree(v) for v in range(g.n)]
     for _ in range(g.n):
         v = max(
             (u for u in range(g.n) if colors[u] == -1),

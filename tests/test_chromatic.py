@@ -27,7 +27,8 @@ from deltachrom import (
     oracle_chromatic,
 )
 from deltachrom import chromatic
-from deltachrom.bounds import formula_chi_delta
+from deltachrom import graphs as graph_core
+from deltachrom.bounds import class_counts, formula_chi_delta
 from deltachrom.families import (
     complete_graph,
     cycle_graph,
@@ -771,7 +772,7 @@ def k_search_on_fake_clock(monkeypatch, g, k, clique, budget=float("inf")):
 
     def call():
         try:
-            return chromatic._k_coloring_search(g, k, clique, 0.0, chromatic._degree_planes(g))
+            return chromatic._k_coloring_search(g, k, clique, 0.0)
         except chromatic.SolverTimeout:
             return "timeout"
 
@@ -784,7 +785,7 @@ def assert_same_k_search_as_reference(g):
     clique = max_clique_lower(g).vertices
     chi = oracle_chromatic(g) if g.n <= chromatic.ORACLE_VERTEX_LIMIT else None
     for k in range(len(clique), dsatur_upper(g).palette_size + 1):
-        got = chromatic._k_coloring_search(g, k, clique, math.inf, chromatic._degree_planes(g))
+        got = chromatic._k_coloring_search(g, k, clique, math.inf)
         assert got == reference_k_search(g, k, clique)
         if got is not None:
             assert is_proper(g, Coloring(got, k))
@@ -1039,3 +1040,45 @@ def contractions(monkeypatch):
 
     monkeypatch.setattr(chromatic, "_contracted_dsatur", counted)
     return ran
+
+
+def class_fills(monkeypatch):
+    """The graph of every degree-class fill made while the patch holds."""
+    filled = []
+    find = graph_core._find_degree_masks
+
+    def counted(g):
+        filled.append(g)
+        return find(g)
+
+    monkeypatch.setattr(graph_core, "_find_degree_masks", counted)
+    return filled
+
+
+class TestDegreeClassesFoundOnce:
+    @pytest.mark.parametrize("term,contracted", [
+        ("X(C5,C7)", 1), ("W9", 1), ("X(P6,P7)", 0), ("P14", 0),
+    ])
+    def test_a_solve_finds_each_graphs_classes_once(self, monkeypatch, term, contracted):
+        # g's for delta_complement and the class pass, delta(g)'s for
+        # DSATUR and every k, and each contracted graph's for its DSATUR
+        g = term_graph(term)
+        d = delta_complement(term_graph(term))
+        ran = contractions(monkeypatch)
+        filled = class_fills(monkeypatch)
+        result = chi_delta(g)
+        assert result.exact and len(ran) == contracted
+        assert filled[0] is g and filled[1] == d and len(filled) == 2 + contracted
+        assert all(h is not g and h != d for h in filled[2:])
+        class_counts(g)
+        delta_complement(g)
+        assert len(filled) == 2 + contracted
+
+    def test_a_k_search_on_a_solved_graph_finds_none(self, monkeypatch):
+        d = delta_complement(term_graph("X(C5,C7)"))
+        chi = chromatic_number(d).chi
+        filled = class_fills(monkeypatch)
+        clique = max_clique_lower(d).vertices
+        assert chromatic._k_coloring_search(d, chi, clique, math.inf) is not None
+        dsatur_upper(d)
+        assert filled == []

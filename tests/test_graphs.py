@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,43 @@ class TestDegreePartition:
 
     def test_empty_graph(self):
         assert degree_masks(Graph(0)) == {}
+
+    def test_the_kept_classes_cannot_be_changed_through_a_result(self):
+        g = path_graph(5)
+        masks = degree_masks(g)
+        with pytest.raises(TypeError):
+            masks[1] = 0
+        with pytest.raises(TypeError):
+            del masks[2]
+        assert degree_masks(g) == {1: 0b10001, 2: 0b01110}
+        assert delta_complement(g).edges() == [(0, 1), (0, 4), (1, 3), (3, 4)]
+
+    def test_threads_sharing_a_fresh_graph_find_the_same_classes(self):
+        # the first calls race to keep the classes; every thread must see
+        # the classes and delta-complement of an equal graph solved alone
+        alone = cartesian_product([path_graph(20), star_graph(5)])[0]
+        expected = (dict(degree_masks(alone)), delta_complement(alone))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                g = cartesian_product([path_graph(20), star_graph(5)])[0]
+                start = threading.Barrier(4)
+                seen = []
+
+                def read():
+                    start.wait(timeout=10)
+                    seen.append((dict(degree_masks(g)), delta_complement(g)))
+
+                workers = [threading.Thread(target=read) for _ in range(4)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=10)
+                assert not any(w.is_alive() for w in workers)
+                assert seen == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
     @given(graphs())
     def test_partition_covers_all_vertices(self, g):

@@ -120,6 +120,17 @@ class TestRowsFollowTheTable:
         assert [r.status for r in rows] == ["skip", "skip", "pass"]
         assert [r.computed for r in rows[:2]] == ["chi=3 omega=3", "chi=4 omega=4"]
 
+    def test_cycle_p3_shows_a_cut_clique_search_as_a_lower_bound(self, monkeypatch):
+        # the row's own clique search with its deadline already past
+        import deltachrom.verification as verification
+
+        search = verification.max_clique_lower
+        monkeypatch.setattr(verification, "max_clique_lower", lambda d, deadline: search(d, 0.0))
+        rows = run_check("cycle-p3")
+        assert [r.computed for r in rows] == [
+            "chi=6 omega>=1", "chi=6 omega>=1", "chi=8 omega>=1", "chi=8 omega>=1"]
+        assert all(r.status == "pass" for r in rows)
+
     @pytest.mark.parametrize("check_id,opts,skipped", [
         ("star-star", {"m": (2, 2), "n": (2, 4)}, 3),
         ("star-path", {"m": (1, 3), "n": (2, 2)}, 3),
