@@ -6,8 +6,9 @@ certificate, the class bound: inside a degree class D, delta(G) is the
 complement of G[D], so a color class of delta(G) meets D in a clique of
 G[D], inside one component C. When G[D] is triangle-free, as a
 bipartite class is, that gives chi >= sum over C of ceil(|C|/2), and
-DSATUR on delta(G) with a matching of each class contracted can meet
-it. A bound that meets the palette closes the solve with no clique.
+when D holds at least half of G, DSATUR on delta(G) with a matching of
+each class contracted can meet it. A bound that meets the palette
+closes the solve with no clique.
 Otherwise a branch-and-bound maximum clique, pruned by the greedy color
 classes of each node's candidates, gives the lower bound; it stops at
 the first clique of the palette's size, which is maximum since omega <=
@@ -260,22 +261,19 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     return Coloring(tuple(colors), palette)
 
 
-def _class_sweep(g: Graph, mask: int, deadline: float = math.inf) -> tuple[bool, int]:
-    """Whether g[mask] is bipartite, and its pair-cover bound.
+def _class_sweep(g: Graph, mask: int, deadline: float = math.inf) -> int:
+    """The pair-cover bound of g[mask].
 
     Breadth-first mask sweeps walk each component C of g[mask] layer by
-    layer. An edge inside a layer is an odd cycle, and every triangle
-    has one, so g[mask] is bipartite when no layer holds an edge, and
-    the triangle test looks only at the edges inside a layer. When
-    g[mask] is triangle-free the bound is the sum over C of
-    ceil(|C|/2); otherwise it is 0. The clock is read at the end of the
-    first layer that brings the vertices swept since the last read to
-    256, so never below 256 vertices; past the deadline the sweep raises
-    ``SolverTimeout``.
+    layer. Every triangle has an edge inside a layer, so the triangle
+    test looks only at those edges. When g[mask] is triangle-free the
+    bound is the sum over C of ceil(|C|/2); otherwise it is 0. The clock
+    is read at the end of the first layer that brings the vertices swept
+    since the last read to 256, so never below 256 vertices; past the
+    deadline the sweep raises ``SolverTimeout``.
     """
     adj = g._adj
     bound = swept = 0
-    bipartite = True
     rest = mask
     while rest:
         frontier = seen = rest & -rest
@@ -284,11 +282,10 @@ def _class_sweep(g: Graph, mask: int, deadline: float = math.inf) -> tuple[bool,
             for v in iter_bits(frontier):
                 reach |= adj[v]
             if inner := reach & frontier:
-                bipartite = False
                 for v in iter_bits(inner):
                     row = adj[v] & mask
                     if any(adj[u] & row for u in iter_bits(row & inner)):
-                        return False, 0
+                        return 0
             swept += frontier.bit_count()
             if swept >= 256:
                 swept = 0
@@ -298,7 +295,7 @@ def _class_sweep(g: Graph, mask: int, deadline: float = math.inf) -> tuple[bool,
             seen |= frontier
         bound += (seen.bit_count() + 1) // 2
         rest &= ~seen
-    return bipartite, bound
+    return bound
 
 
 def class_certificates(
@@ -306,10 +303,9 @@ def class_certificates(
     palette: int,
     deadline: float = math.inf,
     classes: Sequence[int] | None = None,
-) -> tuple[int, int, bool]:
-    """A lower bound on the chromatic number of ``delta_complement(g)``,
-    the mask of the degree class of g that gives it, and whether g is
-    bipartite on that class.
+) -> tuple[int, int]:
+    """A lower bound on the chromatic number of ``delta_complement(g)``
+    and the mask of the degree class of g that gives it.
 
     A color class of delta(g) meets a degree class D in a clique of
     g[D], inside one component, so the pair-cover bound of a
@@ -322,17 +318,16 @@ def class_certificates(
     pass ends with what it has.
     """
     best = best_mask = 0
-    bipartite = False
     for mask in classes or sorted(degree_masks(g).values(), key=int.bit_count, reverse=True):
         if mask.bit_count() <= best or best >= palette or time.monotonic() > deadline:
             break
         try:
-            flag, bound = _class_sweep(g, mask, deadline)
+            bound = _class_sweep(g, mask, deadline)
         except SolverTimeout:
             break
         if bound > best:
-            best, best_mask, bipartite = bound, mask, flag
-    return best, best_mask, bipartite
+            best, best_mask = bound, mask
+    return best, best_mask
 
 
 def _first_fit_pairs(g: Graph, mask: int, deadline: float = math.inf) -> list[tuple[int, int]]:
@@ -656,20 +651,22 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
     palette, as a bipartite class's does on the path and star-path
     grids, closes the solve without the clique search; otherwise the
     k-search starts at the larger of the clique and the bound. When the
-    bound is below the palette, the hook adds ``_contracted_dsatur`` on
-    a first-fit matching of each class, gated as commented below, at the
-    cost of one clock read, the matching's and the contraction's; past
-    the deadline it gives no colouring.
+    bound is below the palette and its class holds at least half of g's
+    vertices, the hook adds ``_contracted_dsatur`` on a first-fit
+    matching of each class, gated as commented below, at the cost of one
+    clock read, the matching's and the contraction's; past the deadline
+    it gives no colouring.
     """
     d = delta_complement(g)
 
     def certificates(palette: int, deadline: float):
-        bound, mask, bipartite = class_certificates(g, palette, deadline)
-        # a bipartite class is left out: the larger colour side of each of
-        # its components, unbuilt, is a clique of delta of at least the
-        # bound. The contraction meets the bound only where the matching
-        # leaves that many vertices and pairs in its class
-        if not mask or bipartite or bound == palette or time.monotonic() > deadline:
+        bound, mask = class_certificates(g, palette, deadline)
+        # a class of fewer than half of g's vertices is left out, as is
+        # the empty mask of no bound: most of delta's vertices then lie in
+        # classes the bound does not see. The contraction meets the bound
+        # only where the matching leaves that many vertices and pairs in
+        # its class
+        if 2 * mask.bit_count() < g.n or bound == palette or time.monotonic() > deadline:
             return bound, mask, None
         try:
             pairs = _first_fit_pairs(g, mask, deadline)

@@ -532,40 +532,37 @@ class TestClassClique:
     @given(graphs(max_n=12))
     @settings(max_examples=80, deadline=None)
     def test_a_bipartite_class_bound_is_within_alpha(self, g):
-        # the flag is whether the class is bipartite; then the larger
-        # colour side of each component is independent, so the bound, the
-        # sum of the components' halves rounded up, is at most alpha
+        # on a bipartite class the larger colour side of each component is
+        # independent, so the bound, the sum of the components' halves
+        # rounded up, is at most alpha
         for mask in degree_masks(g).values():
-            bipartite, bound = chromatic._class_sweep(g, mask)
             vertices = list(iter_bits(mask))
-            assert bipartite == brute_is_bipartite(g, vertices)
-            if bipartite:
-                assert bound <= brute_independence_number(g, vertices)
+            if brute_is_bipartite(g, vertices):
+                assert chromatic._class_sweep(g, mask) <= brute_independence_number(g, vertices)
 
-    @pytest.mark.parametrize("term,chi,bipartite,unreachable", [
-        ("X(P6,P7)", 10, True, 2), ("X(S1,5,P9)", 20, True, 1), ("X(S1,4,S1,6)", 24, True, 1),
-        ("C8", 4, True, 1), ("X(C6,P4)", 6, True, 2), ("X(C5,C7)", 18, False, 1),
+    @pytest.mark.parametrize("term,chi,unreachable", [
+        ("X(P6,P7)", 10, 2), ("X(S1,5,P9)", 20, 1), ("X(S1,4,S1,6)", 24, 1),
+        ("C8", 4, 1), ("X(C6,P4)", 6, 2), ("X(C5,C7)", 18, 1),
     ])
-    def test_reads_the_clock_once_per_class(self, monkeypatch, term, chi, bipartite, unreachable):
+    def test_reads_the_clock_once_per_class(self, monkeypatch, term, chi, unreachable):
         # asked for chi, the pass sweeps the largest class and stops: it
-        # bounds chi by chi, and but for the torus it is bipartite (the
-        # interior 4 x 5 grid, five paths P7, 24 leaf pairs, the whole even
-        # cycle and a C6 x P2 ladder). A palette no bound reaches sweeps
-        # each class larger than the bound so far: the 18 side vertices of
-        # X(P6,P7) and the other ladder of X(C6,P4) too, and no class
-        # after them
+        # bounds chi by chi (the interior 4 x 5 grid, five paths P7, 24 leaf
+        # pairs, the whole even cycle, a C6 x P2 ladder and the whole
+        # torus). A palette no bound reaches sweeps each class larger than
+        # the bound so far: the 18 side vertices of X(P6,P7) and the other
+        # ladder of X(C6,P4) too, and no class after them
         g = term_graph(term)
         for palette, read in ((chi, 1), (g.n + 1, unreachable)):
-            (bound, _, flag), reads = on_fake_clock(
+            (bound, _), reads = on_fake_clock(
                 monkeypatch, float("inf"), lambda: class_certificates(g, palette, deadline=0.0))
-            assert (bound, flag, reads) == (chi, bipartite, read)
+            assert (bound, reads) == (chi, read)
 
     @pytest.mark.parametrize("term", ["X(P6,P7)", "X(S1,5,P9)", "X(S1,4,S1,6)", "C8"])
     def test_past_the_deadline_it_is_empty(self, monkeypatch, term):
         g = term_graph(term)
         result, reads = on_fake_clock(
             monkeypatch, 0, lambda: class_certificates(g, palette_of(g), deadline=0.0))
-        assert (result, reads) == ((0, 0, False), 1)
+        assert (result, reads) == ((0, 0), 1)
 
     @pytest.mark.parametrize("term", ["X(P6,P7)", "X(S1,5,P9)", "X(C9,P3)", "X(C5,C7)", "W9"])
     def test_expired_deadline_solves_as_before(self, monkeypatch, term):
@@ -624,7 +621,7 @@ class TestClassClique:
 
 def class_pass_alone(g: Graph):
     """chi_delta's certificate hook without its matched colouring."""
-    return lambda palette, deadline: (*class_certificates(g, palette, deadline)[:2], None)
+    return lambda palette, deadline: (*class_certificates(g, palette, deadline), None)
 
 
 def counted_k_searches(monkeypatch):
@@ -648,13 +645,13 @@ class TestClassBound:
         # clique-cover number, and the result is the largest of them; a
         # palette of n + 1 vertices asks for the bound alone
         d = delta_complement(g)
-        bound, mask, bipartite = class_certificates(g, g.n + 1)
+        bound, mask = class_certificates(g, g.n + 1)
         assert bound <= oracle_chromatic(d)
         per_class = [0]
         for klass in degree_masks(g).values():
             vertices = list(iter_bits(klass))
-            alone, cert, _ = class_certificates(g, g.n + 1, classes=[klass])
-            assert alone == chromatic._class_sweep(g, klass)[1]
+            alone, cert = class_certificates(g, g.n + 1, classes=[klass])
+            assert alone == chromatic._class_sweep(g, klass)
             triangle_free = brute_clique_number(reference_induced_subgraph(g, vertices)) <= 2
             assert (alone > 0) == triangle_free
             assert cert == (klass if alone else 0)
@@ -663,7 +660,7 @@ class TestClassBound:
             per_class.append(alone)
         assert bound == max(per_class)
         assert mask == 0 if bound == 0 else (
-            class_certificates(g, g.n + 1, classes=[mask]) == (bound, mask, bipartite))
+            class_certificates(g, g.n + 1, classes=[mask]) == (bound, mask))
 
     @pytest.mark.parametrize("term,bound,ks", [
         ("X(C5,C7)", 18, [18]), ("X(P9,C5)", 18, [18]), ("X(C4,C9)", 18, [18]),
@@ -680,7 +677,7 @@ class TestClassBound:
         result = chromatic_number(d, certificates=class_pass_alone(g))
         assert calls == ks and result.exact
         assert result.method == ("branch-and-bound" if ks else "sandwich")
-        got, mask, _ = class_certificates(g, palette_of(g))
+        got, mask = class_certificates(g, palette_of(g))
         assert got == bound
         assert result.bound_class == (mask if bound > len(result.clique) else 0)
         without = chromatic_number(d)
@@ -697,7 +694,7 @@ class TestClassBound:
         g = term_graph(term)
         calls = counted_k_searches(monkeypatch)
         result = chi_delta(g)
-        _, mask, _ = class_certificates(g, palette_of(g))
+        _, mask = class_certificates(g, palette_of(g))
         assert calls == [] and result.exact and result.chi == bound
         assert (result.method, result.clique, result.bound_class) == ("sandwich", (), mask)
         assert is_proper(delta_complement(g), result.witness)
@@ -738,7 +735,7 @@ class TestClassBound:
         g = term_graph(term)
         assert on_fake_clock(
             monkeypatch, 0, lambda: class_certificates(g, palette_of(g), deadline=0.0)
-        ) == ((0, 0, False), 1)
+        ) == ((0, 0), 1)
 
     @pytest.mark.parametrize("term,reads", [
         ("X(C23,C25)", 2), ("X(C99,C101)", 31), ("X(P100,P100)", 33), ("X(C7,C9)", 0),
@@ -759,8 +756,7 @@ class TestClassBound:
         # ends with the strip's bound. With no deadline the torus gives 288
         g = term_graph("X(C23,C25)")
         strip, whole = (1 << 100) - 1, (1 << g.n) - 1
-        for budget, expected in ((2, ((50, strip, False), 3)),
-                                 (float("inf"), ((288, whole, False), 4))):
+        for budget, expected in ((2, ((50, strip), 3)), (float("inf"), ((288, whole), 4))):
             assert on_fake_clock(monkeypatch, budget, lambda: class_certificates(
                 g, g.n, 0.0, classes=[strip, whole])) == expected
 
@@ -872,14 +868,6 @@ class TestMatchedColoring:
         better = coloring.palette_size < dsatur.palette_size
         assert result.witness == (coloring if better else dsatur)
         assert result.upper == min(coloring.palette_size, dsatur.palette_size)
-
-    @given(graphs(max_n=12))
-    @settings(max_examples=80, deadline=None)
-    def test_the_class_pass_knows_whether_the_bound_class_is_bipartite(self, g):
-        # the gate reads it from the class pass, which sweeps that class
-        for palette in (dsatur_upper(delta_complement(g)).palette_size, g.n + 1):
-            _, mask, bipartite = class_certificates(g, palette)
-            assert bipartite == (mask != 0 and brute_is_bipartite(g, list(iter_bits(mask))))
 
     def test_an_improper_coloring_is_refused(self):
         d = delta_complement(term_graph("X(P6,P7)"))
@@ -996,23 +984,69 @@ class TestMatchedColoring:
         term_graph("X(C5,S1,6)"),
         # no triangle-free class, so no bound
         term_graph("X(K4,C13)"),
-        # the bound's class is bipartite: two C8 of degree 3
-        term_graph("X(P4,C8)"),
+        # the bound's class, the four corners, holds 4 of 9 vertices, and
+        # its bound of 4 is below DSATUR's palette of 5
+        term_graph("X(P3,P3)"),
         # the bound's class is the C5 1-4-7-3-6 with 2 hung on 3, bound 3;
         # first fit pairs 1-4 and 2-3 and leaves 6 and 7 apart, 4 in all
         Graph(8, [(0, 1), (0, 2), (1, 4), (1, 6), (2, 3), (2, 5), (3, 6), (3, 7),
                   (4, 5), (4, 7), (5, 6), (5, 7)]),
-    ], ids=["sides", "palette", "triangles", "bipartite", "matching"])
+    ], ids=["sides", "palette", "triangles", "half", "matching"])
     def test_the_gate_keeps_it_off(self, monkeypatch, g):
         ran = contractions(monkeypatch)
         assert chi_delta(g).exact and ran == []
 
-    def test_it_never_runs_on_the_ng_graphs_or_gnp(self, monkeypatch):
+    @pytest.mark.parametrize("term,chi", [
+        ("X(P4,C8)", 8), ("X(P10,P10,P10)", 256), ("X(P20,P20,P20)", 2916),
+    ])
+    def test_a_bipartite_class_of_half_of_g_closes_on_it(self, monkeypatch, term, chi):
+        # the bound's class, two C8 of X(P4,C8) or the interior of a path
+        # cube, holds at least half of g: the matched colouring meets its
+        # bound, with no clique and no k-search
+        g = term_graph(term)
+        ran, calls = contractions(monkeypatch), counted_k_searches(monkeypatch)
+        result = chi_delta(g, timeout=10.0)
+        assert result.exact and result.chi == chi
+        assert (result.method, result.clique, ran, calls) == ("sandwich", (), [g.n], [])
+
+    @given(graphs(max_n=12))
+    @settings(max_examples=120, deadline=None)
+    def test_runs_exactly_when_the_gate_opens(self, g):
+        # the bound is below DSATUR's palette, its class holds at least
+        # half of g, and the class's first-fit matching leaves the bound's
+        # number of vertices and pairs
+        palette = palette_of(g)
+        bound, mask = class_certificates(g, palette)
+        opens = (bound < palette and 2 * mask.bit_count() >= g.n
+                 and mask.bit_count() - len(chromatic._first_fit_pairs(g, mask)) == bound)
+        with pytest.MonkeyPatch.context() as m:
+            ran = contractions(m)
+            chi_delta(g)
+        assert len(ran) == opens
+
+    def test_it_runs_on_half_of_g_on_ng_and_never_on_gnp(self, monkeypatch):
+        # whether each class pass's class holds half of g, and that of the
+        # last pass before each contraction
         from test_solve_golden import gnp_graphs
 
-        ran = contractions(monkeypatch)
+        halves, ran = [], []
+        certify, contract = chromatic.class_certificates, chromatic._contracted_dsatur
+
+        def certified(g, *rest):
+            bound, mask = certify(g, *rest)
+            halves.append(2 * mask.bit_count() >= g.n)
+            return bound, mask
+
+        def contracted(d, *rest):
+            ran.append(halves[-1])
+            return contract(d, *rest)
+
+        monkeypatch.setattr(chromatic, "class_certificates", certified)
+        monkeypatch.setattr(chromatic, "_contracted_dsatur", contracted)
         rows = list(run_check("ng", {}))
         assert len(rows) == 100 and all(r.status == "pass" for r in rows)
+        assert ran and all(ran)
+        ran.clear()
         assert all(chi_delta(g).exact for g in gnp_graphs())
         assert ran == []
 
