@@ -4,11 +4,11 @@ Strategy, in order: a DSATUR coloring gives the upper bound. For
 ``chi_delta`` one pass over the degree classes of G comes next, for one
 certificate, the class bound: inside a degree class D, delta(G) is the
 complement of G[D], so a color class of delta(G) meets D in a clique of
-G[D], inside one component C. When G[D] is triangle-free, as a
-bipartite class is, that gives chi >= sum over C of ceil(|C|/2), and
-when D holds at least half of G, DSATUR on delta(G) with a matching of
-each class contracted can meet it. A bound that meets the palette
-closes the solve with no clique.
+G[D], inside one component C. When G[D] is triangle-free, that gives
+chi >= sum over C of ceil(|C|/2), and when D holds at least half of G,
+DSATUR on delta(G) with a matching of each class contracted can meet
+it, unless the fold leaves a larger clique in D. A bound that meets
+the palette closes the solve with no clique.
 Otherwise a branch-and-bound maximum clique, pruned by the greedy color
 classes of each node's candidates, gives the lower bound; it stops at
 the first clique of the palette's size, which is maximum since omega <=
@@ -298,12 +298,7 @@ def _class_sweep(g: Graph, mask: int, deadline: float = math.inf) -> int:
     return bound
 
 
-def class_certificates(
-    g: Graph,
-    palette: int,
-    deadline: float = math.inf,
-    classes: Sequence[int] | None = None,
-) -> tuple[int, int]:
+def class_certificates(g: Graph, palette: int, deadline: float = math.inf) -> tuple[int, int]:
     """A lower bound on the chromatic number of ``delta_complement(g)``
     and the mask of the degree class of g that gives it.
 
@@ -311,14 +306,13 @@ def class_certificates(
     g[D], inside one component, so the pair-cover bound of a
     triangle-free g[D] bounds chi from below (see ``_class_sweep``).
     Classes are swept largest first, ties in the order of their lowest
-    vertex, or in the order ``classes`` holds other masks when given,
-    until none left could beat the bound, which is at most |D|, or the
-    bound meets ``palette``. The clock is read once per class, and
-    inside a sweep as ``_class_sweep`` reads it; past the deadline the
-    pass ends with what it has.
+    vertex, until none left could beat the bound, which is at most |D|,
+    or the bound meets ``palette``. The clock is read once per class,
+    and inside a sweep as ``_class_sweep`` reads it; past the deadline
+    the pass ends with what it has.
     """
     best = best_mask = 0
-    for mask in classes or sorted(degree_masks(g).values(), key=int.bit_count, reverse=True):
+    for mask in sorted(degree_masks(g).values(), key=int.bit_count, reverse=True):
         if mask.bit_count() <= best or best >= palette or time.monotonic() > deadline:
             break
         try:
@@ -349,16 +343,23 @@ def _first_fit_pairs(g: Graph, mask: int, deadline: float = math.inf) -> list[tu
 
 
 def _contracted_dsatur(
-    d: Graph, pairs: list[tuple[int, int]], deadline: float = math.inf
-) -> Coloring:
-    """DSATUR on d with each pair of non-adjacent vertices contracted into
-    its lower vertex, whose row becomes the OR of both; the higher one's
-    row is emptied, and it takes the lower one's color. Each row folds
-    the higher vertices M_o at offset o = higher - lower down with one
-    shift per offset, not one step per bit. The clock is read on entry,
-    once per 256 folded rows, after the 256th first, and before the
-    contracted graph is built; past the deadline it raises
-    ``SolverTimeout``, and DSATUR keeps the deadline from there."""
+    d: Graph, pairs: list[tuple[int, int]], klass: int, bound: int, deadline: float = math.inf
+) -> Coloring | None:
+    """DSATUR on d, the delta-complement of g, with each pair contracted
+    into its lower vertex, whose row becomes the OR of both; the higher
+    one's row is emptied, and it takes the lower one's color. Each row
+    folds the higher vertices M_o at offset o = higher - lower down with
+    one shift per offset, not one step per bit. ``pairs`` holds the
+    first-fit matching of each degree class of g, ``klass`` among them,
+    with g[klass] triangle-free and of pair bound ``bound``. The class's
+    unmatched and lower pair vertices are then pairwise adjacent in the
+    folded rows, or g[klass] would hold a triangle or first fit an
+    unmatched edge. When they number other than ``bound``, or one row
+    holds them all, no coloring meets the bound: the result is None,
+    with no contracted graph built. The clock is read on entry, once per
+    256 folded rows, after the 256th first, and before the contracted
+    graph is built; past the deadline it raises ``SolverTimeout``, and
+    DSATUR keeps the deadline from there."""
     if time.monotonic() > deadline:
         raise SolverTimeout
     rows = list(d._adj)
@@ -368,10 +369,14 @@ def _contracted_dsatur(
         rows[high] = 0
         by_offset[high - low] = by_offset.get(high - low, 0) | 1 << high
     keep = ~sum(by_offset.values())  # the M_o are disjoint
+    if (clique := klass & keep).bit_count() != bound:
+        return None
     for v, row in enumerate(rows):
         rows[v] = row & keep
         for offset, moved in by_offset.items():
             rows[v] |= (row & moved) >> offset
+        if rows[v] & clique == clique:
+            return None
         if v & 255 == 255 and time.monotonic() > deadline:
             raise SolverTimeout
     if time.monotonic() > deadline:
@@ -652,29 +657,24 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
     grids, closes the solve without the clique search; otherwise the
     k-search starts at the larger of the clique and the bound. When the
     bound is below the palette and its class holds at least half of g's
-    vertices, the hook adds ``_contracted_dsatur`` on a first-fit
-    matching of each class, gated as commented below, at the cost of one
-    clock read, the matching's and the contraction's; past the deadline
-    it gives no colouring.
+    vertices, ``_contracted_dsatur`` colours the contraction of each
+    class's first-fit matching unless its clique in the bound's class
+    exceeds the bound, at the cost of one clock read, the matching's and
+    the contraction's; past the deadline the hook gives no colouring.
     """
     d = delta_complement(g)
 
     def certificates(palette: int, deadline: float):
         bound, mask = class_certificates(g, palette, deadline)
-        # a class of fewer than half of g's vertices is left out, as is
-        # the empty mask of no bound: most of delta's vertices then lie in
-        # classes the bound does not see. The contraction meets the bound
-        # only where the matching leaves that many vertices and pairs in
-        # its class
+        # a class of fewer than half of g's vertices is left out, as is the
+        # empty mask of no bound: most of delta's vertices then lie in classes
+        # the bound does not see. The contraction tells if it can meet it
         if 2 * mask.bit_count() < g.n or bound == palette or time.monotonic() > deadline:
             return bound, mask, None
         try:
-            pairs = _first_fit_pairs(g, mask, deadline)
-            if mask.bit_count() - len(pairs) != bound:
-                return bound, mask, None
-            pairs += [pair for other in degree_masks(g).values() if other != mask
-                      for pair in _first_fit_pairs(g, other, deadline)]
-            return bound, mask, _contracted_dsatur(d, pairs, deadline)
+            pairs = [pair for klass in degree_masks(g).values()
+                     for pair in _first_fit_pairs(g, klass, deadline)]
+            return bound, mask, _contracted_dsatur(d, pairs, mask, bound, deadline)
         except SolverTimeout:
             return bound, mask, None
 

@@ -332,7 +332,11 @@ def to_json(g: Graph) -> str:
 
 
 def from_json(text: str) -> Graph:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # the decoder's nesting limit is the interpreter's recursion limit
+        raise ValueError("graph JSON is nested too deeply") from None
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'")
     n, edges = data["n"], data["edges"]

@@ -13,7 +13,7 @@ import time
 from itertools import combinations, permutations, product as iproduct
 from typing import Sequence
 
-from deltachrom import Coloring, Graph
+from deltachrom import Coloring, Graph, dsatur_upper
 from deltachrom.chromatic import SolverTimeout
 
 
@@ -263,6 +263,21 @@ def reference_dsatur(g: Graph) -> Coloring:
         for w in g.neighbors(v):
             neighbor_colors[w].add(c)
     return Coloring(tuple(colors), max(colors, default=-1) + 1)
+
+
+def reference_contraction(d: Graph, pairs) -> Coloring:
+    """Merge each (low, high) pair of non-adjacent vertices into low, one
+    pair at a time, as an edge set: high's edges move to low and high is
+    left isolated. Then ``dsatur_upper`` colours the merged graph and
+    each high vertex takes its low vertex's colour."""
+    edges = set(d.edges())
+    for low, high in pairs:
+        edges = {tuple(sorted(low if x == high else x for x in edge)) for edge in edges}
+    merged = dsatur_upper(Graph(d.n, edges))
+    colors = list(merged.colors)
+    for low, high in pairs:
+        colors[high] = colors[low]
+    return Coloring(tuple(colors), merged.palette_size)
 
 
 def _iter_bits(mask: int):

@@ -7,7 +7,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltachrom import (
@@ -49,6 +49,7 @@ from _oracles import (
     brute_is_bipartite,
     exhaustive_chromatic,
     pairwise_is_clique,
+    reference_contraction,
     reference_dsatur,
     reference_induced_subgraph,
     reference_is_proper,
@@ -650,17 +651,15 @@ class TestClassBound:
         per_class = [0]
         for klass in degree_masks(g).values():
             vertices = list(iter_bits(klass))
-            alone, cert = class_certificates(g, g.n + 1, classes=[klass])
-            assert alone == chromatic._class_sweep(g, klass)
+            alone = chromatic._class_sweep(g, klass)
             triangle_free = brute_clique_number(reference_induced_subgraph(g, vertices)) <= 2
             assert (alone > 0) == triangle_free
-            assert cert == (klass if alone else 0)
             assert (len(vertices) + 1) // 2 * triangle_free <= alone
             assert alone <= brute_clique_cover_number(g, vertices)
             per_class.append(alone)
         assert bound == max(per_class)
         assert mask == 0 if bound == 0 else (
-            class_certificates(g, g.n + 1, classes=[mask]) == (bound, mask))
+            mask in degree_masks(g).values() and chromatic._class_sweep(g, mask) == bound)
 
     @pytest.mark.parametrize("term,bound,ks", [
         ("X(C5,C7)", 18, [18]), ("X(P9,C5)", 18, [18]), ("X(C4,C9)", 18, [18]),
@@ -749,16 +748,20 @@ class TestClassBound:
             g, mask, deadline=0.0)) == (chromatic._class_sweep(g, mask), reads)
 
     def test_a_deadline_inside_a_sweep_keeps_the_bound_so_far(self, monkeypatch):
-        # X(C23,C25)'s first four rows, a 100-vertex strip with bound 50,
-        # are swept with no read inside. The whole torus comes second: one
-        # read lets its sweep start, and with a budget of 2 the sweep's
-        # first read, after 256 vertices, is past the deadline, so the pass
-        # ends with the strip's bound. With no deadline the torus gives 288
+        # two classes stand in for X(C23,C25)'s one. The pass sweeps the
+        # larger first: its first twelve rows, 300 connected vertices of
+        # bound 150, with one read before the sweep and one inside it. The
+        # second, 264 pairwise non-adjacent vertices of rows 0..21 and
+        # columns 0..23, gives 264: one read lets its sweep start, and
+        # with a budget of 3 the sweep's first read, after 256 vertices,
+        # is past the deadline, so the pass ends with the first bound
         g = term_graph("X(C23,C25)")
-        strip, whole = (1 << 100) - 1, (1 << g.n) - 1
-        for budget, expected in ((2, ((50, strip), 3)), (float("inf"), ((288, whole), 4))):
+        block = (1 << 300) - 1
+        spread = sum(1 << 25 * i + j for i in range(22) for j in range(24) if (i + j) % 2 == 0)
+        monkeypatch.setattr(chromatic, "degree_masks", lambda h: {3: spread, 4: block})
+        for budget, expected in ((3, ((150, block), 4)), (float("inf"), ((264, spread), 4))):
             assert on_fake_clock(monkeypatch, budget, lambda: class_certificates(
-                g, g.n, 0.0, classes=[strip, whole])) == expected
+                g, g.n, 0.0)) == expected
 
 
 def k_search_on_fake_clock(monkeypatch, g, k, clique, budget=float("inf")):
@@ -835,20 +838,52 @@ def first_fit_pairs(g: Graph) -> list[tuple[int, int]]:
             for pair in chromatic._first_fit_pairs(g, mask)]
 
 
+def sees_every_group(d: Graph, pairs, klass: int) -> bool:
+    """Whether some vertex or pair of the contraction of the pairs is
+    adjacent in d to every unmatched vertex and every pair of klass."""
+    partner = dict(pairs)
+    highs = set(partner.values())
+
+    def groups(vertices):
+        return [(v, partner[v]) if v in partner else (v,) for v in vertices if v not in highs]
+
+    inside = groups(iter_bits(klass))
+    return any(all(any(d.has_edge(a, b) for a in unit for b in group) for group in inside)
+               for unit in groups(range(d.n)))
+
+
 class TestMatchedColoring:
     @given(graphs(max_n=12))
+    # the degree-2 class is the path 5-0-4-1, bound 2; first fit pairs 0-4
+    # and leaves 1 and 5, three groups that no vertex sees all of
+    @example(Graph(9, [(0, 4), (0, 5), (1, 4), (1, 7), (2, 5)]))
     @settings(max_examples=120, deadline=None)
     def test_is_proper_and_within_chi(self, g):
-        # the contraction of every class's matching, gate or no gate
+        # the contraction of every class's matching on each triangle-free
+        # class and its bound, gate or no gate: no colouring exactly where
+        # the class's groups are other than the bound in number or one
+        # vertex or pair sees them all, only where the reference
+        # contraction's palette is above the bound, and otherwise the
+        # reference colouring
         d = delta_complement(g)
         pairs = first_fit_pairs(g)
         for low, high in pairs:
             assert low < high and g.has_edge(low, high) and not d.has_edge(low, high)
             assert g.degree(low) == g.degree(high)
-        coloring = chromatic._contracted_dsatur(d, pairs)
-        assert is_proper(d, coloring) and reference_is_proper(d, coloring.colors)
-        assert all(coloring.colors[low] == coloring.colors[high] for low, high in pairs)
-        assert coloring.palette_size >= oracle_chromatic(d)
+        reference = reference_contraction(d, pairs)
+        for klass in degree_masks(g).values():
+            if not (bound := chromatic._class_sweep(g, klass)):
+                continue
+            coloring = chromatic._contracted_dsatur(d, pairs, klass, bound)
+            groups = klass.bit_count() - len(chromatic._first_fit_pairs(g, klass))
+            assert (coloring is None) == (groups != bound or sees_every_group(d, pairs, klass))
+            if coloring is None:
+                assert reference.palette_size > bound
+                continue
+            assert coloring == reference
+            assert is_proper(d, coloring) and reference_is_proper(d, coloring.colors)
+            assert all(coloring.colors[low] == coloring.colors[high] for low, high in pairs)
+            assert coloring.palette_size >= oracle_chromatic(d) >= bound
 
     @given(graphs(max_n=12))
     @settings(max_examples=80, deadline=None)
@@ -856,7 +891,7 @@ class TestMatchedColoring:
         # with the k-search cut, the witness is the hook's colouring when
         # it has fewer colours than DSATUR's, and DSATUR's otherwise
         d = delta_complement(g)
-        coloring = chromatic._contracted_dsatur(d, first_fit_pairs(g))
+        coloring = reference_contraction(d, first_fit_pairs(g))
         dsatur = dsatur_upper(d)
 
         def no_search(*args):
@@ -977,24 +1012,34 @@ class TestMatchedColoring:
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
         assert (reads, ran, coloured) == (budget + 3, [g.n], [g.n])
 
-    @pytest.mark.parametrize("g", [
+    @pytest.mark.parametrize("g,entered", [
         # a bipartite class whose bound meets DSATUR's palette
-        term_graph("X(C6,P4)"),
+        pytest.param(term_graph("X(C6,P4)"), 0, id="sides"),
         # the bound meets DSATUR's palette
-        term_graph("X(C5,S1,6)"),
+        pytest.param(term_graph("X(C5,S1,6)"), 0, id="palette"),
         # no triangle-free class, so no bound
-        term_graph("X(K4,C13)"),
+        pytest.param(term_graph("X(K4,C13)"), 0, id="triangles"),
         # the bound's class, the four corners, holds 4 of 9 vertices, and
         # its bound of 4 is below DSATUR's palette of 5
-        term_graph("X(P3,P3)"),
+        pytest.param(term_graph("X(P3,P3)"), 0, id="half"),
         # the bound's class is the C5 1-4-7-3-6 with 2 hung on 3, bound 3;
         # first fit pairs 1-4 and 2-3 and leaves 6 and 7 apart, 4 in all
-        Graph(8, [(0, 1), (0, 2), (1, 4), (1, 6), (2, 3), (2, 5), (3, 6), (3, 7),
-                  (4, 5), (4, 7), (5, 6), (5, 7)]),
-    ], ids=["sides", "palette", "triangles", "half", "matching"])
-    def test_the_gate_keeps_it_off(self, monkeypatch, g):
-        ran = contractions(monkeypatch)
-        assert chi_delta(g).exact and ran == []
+        pytest.param(Graph(8, [(0, 1), (0, 2), (1, 4), (1, 6), (2, 3), (2, 5), (3, 6), (3, 7),
+                               (4, 5), (4, 7), (5, 6), (5, 7)]), 1, id="matching"),
+        # the rim's class holds all but the hub and its bound is below
+        # DSATUR's palette, but the hub is adjacent in delta to the whole rim
+        *(pytest.param(term_graph(f"W{n}"), 1, id=f"W{n}") for n in range(4, 10)),
+    ])
+    def test_the_gate_keeps_it_off(self, monkeypatch, g, entered):
+        # no DSATUR runs on a contracted graph, only the solve's first, and
+        # the solve is the class pass's alone
+        ran, coloured = contractions(monkeypatch), dsaturs(monkeypatch)
+        result = chi_delta(g)
+        assert result.exact and (len(ran), coloured) == (entered, [g.n])
+        alone = chromatic_number(delta_complement(g), certificates=class_pass_alone(g))
+        assert (result.lower, result.upper, result.witness, result.clique, result.method,
+                result.bound_class) == (alone.lower, alone.upper, alone.witness, alone.clique,
+                                        alone.method, alone.bound_class)
 
     @pytest.mark.parametrize("term,chi", [
         ("X(P4,C8)", 8), ("X(P10,P10,P10)", 256), ("X(P20,P20,P20)", 2916),
@@ -1012,17 +1057,21 @@ class TestMatchedColoring:
     @given(graphs(max_n=12))
     @settings(max_examples=120, deadline=None)
     def test_runs_exactly_when_the_gate_opens(self, g):
-        # the bound is below DSATUR's palette, its class holds at least
-        # half of g, and the class's first-fit matching leaves the bound's
-        # number of vertices and pairs
+        # the contraction is entered when the bound is below DSATUR's
+        # palette and its class holds at least half of g. It colours when
+        # the class's first-fit matching also leaves the bound's number of
+        # vertices and pairs, and no vertex or pair of the contraction is
+        # adjacent in delta to every one of them
         palette = palette_of(g)
         bound, mask = class_certificates(g, palette)
-        opens = (bound < palette and 2 * mask.bit_count() >= g.n
-                 and mask.bit_count() - len(chromatic._first_fit_pairs(g, mask)) == bound)
+        entered = bound < palette and 2 * mask.bit_count() >= g.n
+        coloured = (entered
+                    and mask.bit_count() - len(chromatic._first_fit_pairs(g, mask)) == bound
+                    and not sees_every_group(delta_complement(g), first_fit_pairs(g), mask))
         with pytest.MonkeyPatch.context() as m:
-            ran = contractions(m)
+            ran, runs = contractions(m), dsaturs(m)
             chi_delta(g)
-        assert len(ran) == opens
+        assert (len(ran), len(runs)) == (entered, 1 + coloured)
 
     def test_it_runs_on_half_of_g_on_ng_and_never_on_gnp(self, monkeypatch):
         # whether each class pass's class holds half of g, and that of the
@@ -1064,13 +1113,13 @@ def dsaturs(monkeypatch):
 
 
 def contractions(monkeypatch):
-    """The vertex count of every contraction made while the patch holds."""
+    """The vertex count of every contraction entered while the patch holds."""
     ran = []
     contract = chromatic._contracted_dsatur
 
-    def counted(d, pairs, *deadline):
+    def counted(d, *rest):
         ran.append(d.n)
-        return contract(d, pairs, *deadline)
+        return contract(d, *rest)
 
     monkeypatch.setattr(chromatic, "_contracted_dsatur", counted)
     return ran
@@ -1090,23 +1139,27 @@ def class_fills(monkeypatch):
 
 
 class TestDegreeClassesFoundOnce:
-    @pytest.mark.parametrize("term,contracted", [
-        ("X(C5,C7)", 1), ("W9", 1), ("X(P6,P7)", 0), ("P14", 0),
+    @pytest.mark.parametrize("term,contracted,built", [
+        pytest.param("X(C5,C7)", 1, 1, id="X(C5,C7)-1"),
+        pytest.param("W9", 1, 0, id="W9-1"),
+        pytest.param("X(P6,P7)", 0, 0, id="X(P6,P7)-0"),
+        pytest.param("P14", 0, 0, id="P14-0"),
     ])
-    def test_a_solve_finds_each_graphs_classes_once(self, monkeypatch, term, contracted):
+    def test_a_solve_finds_each_graphs_classes_once(self, monkeypatch, term, contracted, built):
         # g's for delta_complement and the class pass, delta(g)'s for
-        # DSATUR and every k, and each contracted graph's for its DSATUR
+        # DSATUR and every k, and each contracted graph's for its DSATUR.
+        # W9's contraction is entered and builds no contracted graph
         g = term_graph(term)
         d = delta_complement(term_graph(term))
         ran = contractions(monkeypatch)
         filled = class_fills(monkeypatch)
         result = chi_delta(g)
         assert result.exact and len(ran) == contracted
-        assert filled[0] is g and filled[1] == d and len(filled) == 2 + contracted
+        assert filled[0] is g and filled[1] == d and len(filled) == 2 + built
         assert all(h is not g and h != d for h in filled[2:])
         class_counts(g)
         delta_complement(g)
-        assert len(filled) == 2 + contracted
+        assert len(filled) == 2 + built
 
     def test_a_k_search_on_a_solved_graph_finds_none(self, monkeypatch):
         d = delta_complement(term_graph("X(C5,C7)"))

@@ -87,6 +87,14 @@ class TestExport:
         assert captured.out == ""
         assert captured.err.startswith("error: graph JSON ")
 
+    def test_deeply_nested_graph_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n":1,"edges":' + "[" * 100_000 + "]" * 100_000 + "}")
+        code = main(["chi-delta", f"@{path}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: graph JSON is nested too deeply\n"
+
     def test_directory_graph_file_is_usage_error(self, capsys, tmp_path):
         code = main(["export", f"@{tmp_path}"])
         captured = capsys.readouterr()

@@ -344,6 +344,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_json(json.dumps([1, 2, 3]))
 
+    def test_json_nested_too_deeply(self):
+        # the decoder's RecursionError becomes the reader's ValueError
+        deep = '{"n": 1, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(ValueError, match="graph JSON is nested too deeply"):
+            from_json(deep)
+
     def test_json_over_the_vertex_budget(self):
         with pytest.raises(SizeLimitError, match="10001 vertices"):
             from_json('{"n": 10001, "edges": []}')
