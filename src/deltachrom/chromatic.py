@@ -5,10 +5,10 @@ Strategy, in order: a DSATUR coloring gives the upper bound. For
 certificate, the class bound: inside a degree class D, delta(G) is the
 complement of G[D], so a color class of delta(G) meets D in a clique of
 G[D], inside one component C. When G[D] is triangle-free, that gives
-chi >= sum over C of ceil(|C|/2), and when D holds at least half of G,
-DSATUR on delta(G) with a matching of each class contracted can meet
-it, unless the fold leaves a larger clique in D. A bound that meets
-the palette closes the solve with no clique.
+chi >= sum over C of ceil(|C|/2), and when that bound is below the
+palette, DSATUR on delta(G) with a matching of each class contracted
+can meet it, unless the fold leaves a larger clique in D. A bound that
+meets the palette closes the solve with no clique.
 Otherwise a branch-and-bound maximum clique, pruned by the greedy color
 classes of each node's candidates, gives the lower bound; it stops at
 the first clique of the palette's size, which is maximum since omega <=
@@ -655,21 +655,18 @@ def chi_delta(g: Graph, timeout: float = DEFAULT_TIMEOUT) -> ChromaticResult:
     its one certificate is the class bound. A bound that meets DSATUR's
     palette, as a bipartite class's does on the path and star-path
     grids, closes the solve without the clique search; otherwise the
-    k-search starts at the larger of the clique and the bound. When the
-    bound is below the palette and its class holds at least half of g's
-    vertices, ``_contracted_dsatur`` colours the contraction of each
-    class's first-fit matching unless its clique in the bound's class
-    exceeds the bound, at the cost of one clock read, the matching's and
-    the contraction's; past the deadline the hook gives no colouring.
+    k-search starts at the larger of the clique and the bound. When there
+    is a bound and it is below the palette, ``_contracted_dsatur``
+    colours the contraction of each class's first-fit matching unless its
+    clique in the bound's class exceeds the bound, at the cost of one
+    clock read, the matching's and the contraction's; past the deadline
+    the hook gives no colouring.
     """
     d = delta_complement(g)
 
     def certificates(palette: int, deadline: float):
         bound, mask = class_certificates(g, palette, deadline)
-        # a class of fewer than half of g's vertices is left out, as is the
-        # empty mask of no bound: most of delta's vertices then lie in classes
-        # the bound does not see. The contraction tells if it can meet it
-        if 2 * mask.bit_count() < g.n or bound == palette or time.monotonic() > deadline:
+        if not 0 < bound < palette or time.monotonic() > deadline:
             return bound, mask, None
         try:
             pairs = [pair for klass in degree_masks(g).values()

@@ -40,7 +40,6 @@ from deltachrom.families import (
     wheel_graph,
 )
 from deltachrom.graphs import degree_masks, iter_bits
-from deltachrom.verification import run_check
 
 from _oracles import (
     brute_clique_cover_number,
@@ -948,7 +947,7 @@ class TestMatchedColoring:
     def test_a_deadline_inside_the_contraction_keeps_dsaturs_witness(self, monkeypatch):
         # 9999 vertices. One read sets the deadline, the solve's first
         # DSATUR makes 39 with no deadline, the class pass one and its
-        # sweep of the one class 31, the gate one and the matching's 4999
+        # sweep of the one class 31, the hook's one and the matching's 4999
         # pairs 19. The contraction's first read, on entry, is past the
         # deadline, so the hook gives no colouring, and the clique search
         # and the k-search stop at their first reads
@@ -980,7 +979,7 @@ class TestMatchedColoring:
     def test_a_deadline_inside_the_matching_keeps_dsaturs_witness(self, monkeypatch):
         # 575 vertices. One read sets the deadline, the solve's first
         # DSATUR makes 2 with no deadline, the class pass one and its
-        # sweep 2, and the gate one. The matching's read after its 256th
+        # sweep 2, and the hook's one. The matching's read after its 256th
         # of 287 pairs is past the deadline, so no contraction runs and no
         # DSATUR on a contracted graph, and the clique search and the
         # k-search stop at their first reads
@@ -997,7 +996,7 @@ class TestMatchedColoring:
     def test_a_deadline_inside_the_fold_keeps_dsaturs_witness(self, monkeypatch, folded):
         # 575 vertices. One read sets the deadline, the solve's first
         # DSATUR makes 2 with no deadline, the class pass one and its
-        # sweep 2, the gate one, the matching's one after its 256th of
+        # sweep 2, the hook's one, the matching's one after its 256th of
         # 287 pairs and the contraction's entry one. Of its two fold
         # reads, one per 256 rows, `folded` are in time; the next read, in
         # the fold or, at 2, before the contracted graph is built, is past
@@ -1012,30 +1011,31 @@ class TestMatchedColoring:
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
         assert (reads, ran, coloured) == (budget + 3, [g.n], [g.n])
 
-    @pytest.mark.parametrize("g,entered", [
+    @pytest.mark.parametrize("g,entered,runs", [
         # a bipartite class whose bound meets DSATUR's palette
-        pytest.param(term_graph("X(C6,P4)"), 0, id="sides"),
+        pytest.param(term_graph("X(C6,P4)"), 0, 1, id="sides"),
         # the bound meets DSATUR's palette
-        pytest.param(term_graph("X(C5,S1,6)"), 0, id="palette"),
+        pytest.param(term_graph("X(C5,S1,6)"), 0, 1, id="palette"),
         # no triangle-free class, so no bound
-        pytest.param(term_graph("X(K4,C13)"), 0, id="triangles"),
+        pytest.param(term_graph("X(K4,C13)"), 0, 1, id="triangles"),
         # the bound's class, the four corners, holds 4 of 9 vertices, and
-        # its bound of 4 is below DSATUR's palette of 5
-        pytest.param(term_graph("X(P3,P3)"), 0, id="half"),
+        # its bound of 4 is below DSATUR's palette of 5. The contracted
+        # graph is coloured, but with 5 colours, no fewer than DSATUR's
+        pytest.param(term_graph("X(P3,P3)"), 1, 2, id="half"),
         # the bound's class is the C5 1-4-7-3-6 with 2 hung on 3, bound 3;
         # first fit pairs 1-4 and 2-3 and leaves 6 and 7 apart, 4 in all
         pytest.param(Graph(8, [(0, 1), (0, 2), (1, 4), (1, 6), (2, 3), (2, 5), (3, 6), (3, 7),
-                               (4, 5), (4, 7), (5, 6), (5, 7)]), 1, id="matching"),
+                               (4, 5), (4, 7), (5, 6), (5, 7)]), 1, 1, id="matching"),
         # the rim's class holds all but the hub and its bound is below
         # DSATUR's palette, but the hub is adjacent in delta to the whole rim
-        *(pytest.param(term_graph(f"W{n}"), 1, id=f"W{n}") for n in range(4, 10)),
+        *(pytest.param(term_graph(f"W{n}"), 1, 1, id=f"W{n}") for n in range(4, 10)),
     ])
-    def test_the_gate_keeps_it_off(self, monkeypatch, g, entered):
-        # no DSATUR runs on a contracted graph, only the solve's first, and
-        # the solve is the class pass's alone
+    def test_the_gate_keeps_it_off(self, monkeypatch, g, entered, runs):
+        # the solve's first DSATUR runs, and only `half` colours a contracted
+        # graph too; either way the solve is the class pass's alone
         ran, coloured = contractions(monkeypatch), dsaturs(monkeypatch)
         result = chi_delta(g)
-        assert result.exact and (len(ran), coloured) == (entered, [g.n])
+        assert result.exact and (len(ran), coloured) == (entered, [g.n] * runs)
         alone = chromatic_number(delta_complement(g), certificates=class_pass_alone(g))
         assert (result.lower, result.upper, result.witness, result.clique, result.method,
                 result.bound_class) == (alone.lower, alone.upper, alone.witness, alone.clique,
@@ -1057,14 +1057,14 @@ class TestMatchedColoring:
     @given(graphs(max_n=12))
     @settings(max_examples=120, deadline=None)
     def test_runs_exactly_when_the_gate_opens(self, g):
-        # the contraction is entered when the bound is below DSATUR's
-        # palette and its class holds at least half of g. It colours when
-        # the class's first-fit matching also leaves the bound's number of
-        # vertices and pairs, and no vertex or pair of the contraction is
-        # adjacent in delta to every one of them
+        # the contraction is entered when there is a bound and it is below
+        # DSATUR's palette. It colours when the class's first-fit matching
+        # also leaves the bound's number of vertices and pairs, and no
+        # vertex or pair of the contraction is adjacent in delta to every
+        # one of them
         palette = palette_of(g)
         bound, mask = class_certificates(g, palette)
-        entered = bound < palette and 2 * mask.bit_count() >= g.n
+        entered = 0 < bound < palette
         coloured = (entered
                     and mask.bit_count() - len(chromatic._first_fit_pairs(g, mask)) == bound
                     and not sees_every_group(delta_complement(g), first_fit_pairs(g), mask))
@@ -1073,31 +1073,24 @@ class TestMatchedColoring:
             chi_delta(g)
         assert (len(ran), len(runs)) == (entered, 1 + coloured)
 
-    def test_it_runs_on_half_of_g_on_ng_and_never_on_gnp(self, monkeypatch):
-        # whether each class pass's class holds half of g, and that of the
-        # last pass before each contraction
-        from test_solve_golden import gnp_graphs
-
-        halves, ran = [], []
-        certify, contract = chromatic.class_certificates, chromatic._contracted_dsatur
-
-        def certified(g, *rest):
-            bound, mask = certify(g, *rest)
-            halves.append(2 * mask.bit_count() >= g.n)
-            return bound, mask
-
-        def contracted(d, *rest):
-            ran.append(halves[-1])
-            return contract(d, *rest)
-
-        monkeypatch.setattr(chromatic, "class_certificates", certified)
-        monkeypatch.setattr(chromatic, "_contracted_dsatur", contracted)
-        rows = list(run_check("ng", {}))
-        assert len(rows) == 100 and all(r.status == "pass" for r in rows)
-        assert ran and all(ran)
-        ran.clear()
-        assert all(chi_delta(g).exact for g in gnp_graphs())
-        assert ran == []
+    @pytest.mark.parametrize("term,chi", [
+        ("X(P6,P6,C8)", 64), ("X(P6,P6,C13)", 104), ("X(P6,P6,C21)", 168),
+        ("X(P6,P6,W6)", 48), ("X(P6,P6,W11)", 88), ("X(P6,P11,P17)", 270),
+        ("X(P6,P11,W6)", 108), ("X(P6,S1,4,W11)", 88), ("X(P6,W6,W6)", 72),
+        ("X(P6,P6,P6,P6)", 256),
+    ])
+    def test_a_class_of_under_half_of_g_closes_on_it(self, monkeypatch, term, chi):
+        # the bound's class holds less than half of g, and the matched
+        # colouring still meets its bound: one contraction, no clique and
+        # no k-search
+        g = term_graph(term)
+        ran, calls = contractions(monkeypatch), counted_k_searches(monkeypatch)
+        result = chi_delta(g, timeout=2.0)
+        _, mask = class_certificates(g, palette_of(g))
+        assert 2 * mask.bit_count() < g.n
+        assert result.exact and result.chi == chi
+        assert (result.method, result.clique, ran, calls) == ("sandwich", (), [g.n], [])
+        assert result.bound_class and is_proper(delta_complement(g), result.witness)
 
 
 def dsaturs(monkeypatch):
