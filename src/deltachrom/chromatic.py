@@ -16,13 +16,16 @@ chi <= palette. A k-colorability backtracking search (in DSATUR's
 order, with a maximum clique pinned to colors 0..|clique|-1 and its
 domains kept as whole-graph masks) then decides each k from the larger
 of the clique size and the class bound upward. Each coloring it finds
-is re-checked to be proper before it becomes the witness. Both searches
-keep their own stack, so no interpreter setting depends on the graph
-size. They read the clock at every node, the class pass at every class
-and every 256 vertices it sweeps, the matching every 256 pairs, and
-the contraction on entry and every 256 rows it folds or vertices it
-colors, so the deadline is the one stopping rule and a solve overruns
-it by at most one step's work.
+is re-checked to be proper before it becomes the witness. DSATUR and
+the k-search break degree ties on the degree classes, highest first;
+DSATUR renews its color-mask tree up to the first unchanged node, and
+the k-search builds its wipe-out mask only on a removal. The clique
+and k-colorability searches keep their own stack, so no interpreter
+setting depends on the graph size. They read the clock at every node,
+the class pass at every class and every 256 vertices it sweeps, the
+matching every 256 pairs, and the contraction on entry and every 256
+rows it folds or vertices it colors, so the deadline is the one
+stopping rule and a solve overruns it by at most one step's work.
 
 Everything is deterministic: ties break toward the lowest vertex id and
 colors are tried in increasing order, so the same graph always yields
@@ -175,15 +178,9 @@ def max_clique_lower(
     return CliqueResult(best_size, verts, complete)
 
 
-def _degree_planes(g: Graph) -> list[int]:
-    """The degrees of g bit-sliced, highest bit first: the plane for bit
-    j holds the vertices whose degree has bit j set."""
-    by_degree = degree_masks(g)
-    top = max(by_degree, default=0).bit_length()
-    return [
-        sum(mask for d, mask in by_degree.items() if d >> j & 1)
-        for j in reversed(range(top))
-    ]
+def _degree_classes(g: Graph) -> list[int]:
+    """The degree classes of g as vertex masks, highest degree first."""
+    return [mask for _, mask in sorted(degree_masks(g).items(), reverse=True)]
 
 
 def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
@@ -192,33 +189,33 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     Vertex choice: maximum saturation, then maximum degree, then lowest
     id; the vertex gets the lowest color no neighbour has.
 
-    Each step is O(log n) whole-graph mask operations, with no loop
-    over vertices. The vertices that see color c are ``seen[c]``, the
-    union of the neighbour rows of the vertices colored c, so a
-    vertex's saturation is the number of masks ``seen`` it is in.
-    Saturations are kept bit-sliced: ``sat[j]`` holds the vertices
-    whose saturation has bit j set, and coloring v with c adds one to
-    the uncolored vertices of ``adj[v] & ~seen[c]`` by a ripple carry
-    over the planes. Degrees are sliced the same way, from the degree
-    classes g keeps (``_degree_planes``). The choice narrows the
-    uncolored mask plane by plane from the highest bit down, saturation
-    first, then degree, and takes the lowest set bit that is left. The
-    masks ``seen`` are the leaves of a binary tree whose every inner
-    node is the AND of its two children, that is the vertices that see
-    every color below it; first fit descends it to the lowest color v
-    does not see, going left unless the left child's mask holds v. The
-    clock is read once per 256 colored vertices, after the 256th first;
-    past the deadline DSATUR raises ``SolverTimeout``.
+    Each step is O(log n) whole-graph mask operations and at most one
+    per degree class, with no loop over vertices. The vertices that see
+    color c are ``seen[c]``, the union of the neighbour rows of the
+    vertices colored c, so a vertex's saturation is the number of masks
+    ``seen`` it is in. Saturations are kept bit-sliced: ``sat[j]`` holds
+    the vertices whose saturation has bit j set, and coloring v with c
+    adds one to the uncolored vertices of ``adj[v] & ~seen[c]`` by a
+    ripple carry over the planes. The choice narrows the uncolored mask
+    plane by plane from the highest bit down, then to the first degree
+    class g keeps, highest first (``_degree_classes``), that meets it,
+    and takes the lowest set bit. The masks ``seen`` are the leaves of a
+    binary tree whose every inner node is the AND of its two children,
+    that is the vertices that see every color below it; first fit
+    descends it to the lowest color v does not see, going left unless
+    the left child's mask holds v, and the ANDs above ``seen[c]`` are
+    renewed up to the first node that keeps its mask. The clock is read
+    once per 256 colored vertices, after the 256th first; past the
+    deadline DSATUR raises ``SolverTimeout``.
     """
     n = g.n
     if n == 0:
         return Coloring((), 0)
     adj = g._adj
-    degree_planes = _degree_planes(g)
-    # first fit never goes past the maximum degree, which is below 2**
-    # (number of degree planes), so that many leaves hold every color;
-    # leaf `leaves + c` is seen[c]
-    leaves = 1 << len(degree_planes)
+    by_degree = _degree_classes(g)
+    # first fit never goes past the maximum degree, so 2 ** (its bit
+    # length) leaves hold every color; leaf `leaves + c` is seen[c]
+    leaves = 1 << max(degree_masks(g)).bit_length()
     tree = [0] * (2 * leaves)
     sat: list[int] = []
     colors = [0] * n
@@ -229,9 +226,10 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
         for plane in reversed(sat):
             if narrowed := cand & plane:
                 cand = narrowed
-        for plane in degree_planes:
-            if narrowed := cand & plane:
+        for klass in by_degree:
+            if narrowed := cand & klass:
                 cand = narrowed
+                break
         low = cand & -cand
         v = low.bit_length() - 1
         uncolored ^= low
@@ -247,8 +245,11 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
         carry = row & uncolored & ~tree[node]
         tree[node] |= row
         while node > 1:
+            both = tree[node] & tree[node ^ 1]
             node >>= 1
-            tree[node] = tree[2 * node] & tree[2 * node + 1]
+            if tree[node] == both:
+                break
+            tree[node] = both
         for j, plane in enumerate(sat):
             if not carry:
                 break
@@ -407,88 +408,97 @@ def _k_coloring_search(
     ``planes``, as DSATUR's saturations are. Coloring v with c takes the
     neighbours ``adj[v] & can[c]`` out of ``can[c]`` and one from the
     counts of the open ones by a ripple borrow; an open neighbour with
-    one color left is a wipe-out, found before anything changes. A
-    backtrack puts the same mask back and adds the one back by a ripple
-    carry, so each frame keeps one mask. The choice narrows the open
-    mask plane by plane from the highest bit down, colors left first,
-    then the degree planes, ``_degree_planes(g)``, sliced from the degree
-    classes g keeps, and takes the lowest set bit that is left.
+    one color left, in no plane above the lowest, is a wipe-out, tested
+    only when the move takes an open neighbour out and before anything
+    changes. A backtrack puts the same mask back and adds the one back
+    by a ripple carry, so each frame keeps one mask and the vertex bit.
+    The choice narrows the open mask plane by plane from the highest
+    bit down, then to the first degree class g keeps, highest first
+    (``_degree_classes``, built after the first clock read), that meets
+    it, and takes the lowest set bit.
     """
     n = g.n
     adj = g._adj
     free = (1 << n) - 1
     can = [free] * k
     planes = [free if k >> j & 1 else 0 for j in range(k.bit_length())]
-    degree_planes: list[int] | None = None
+    above_one = range(1, len(planes))
+    by_degree: list[int] | None = None
     colors = [-1] * n
 
-    def assign(v: int, c: int) -> int | None:
-        # take v's neighbours out of can[c]; None on a wipe-out
+    def assign(v: int, c: int, free: int) -> int | None:
+        # take v's neighbours out of can[c]; None on a wipe-out, so every
+        # borrow, as every backtrack's carry, ends inside the planes
         removed = adj[v] & can[c]
-        borrow = removed & free
-        several = 0
-        for plane in planes[1:]:
-            several |= plane
-        if borrow & ~several:
-            return None
+        if borrow := removed & free:
+            several = 0
+            for j in above_one:
+                several |= planes[j]
+            if borrow & ~several:
+                return None
+            j = 0
+            while borrow:
+                plane = planes[j]
+                planes[j] = plane ^ borrow
+                borrow &= ~plane
+                j += 1
         can[c] ^= removed
-        for j, plane in enumerate(planes):
-            if not borrow:
-                break
-            planes[j] = plane ^ borrow
-            borrow &= ~plane
         colors[v] = c
         return removed
 
     for i, v in enumerate(clique):
-        if assign(v, i) is None:
+        if assign(v, i, free) is None:
             return None
         free ^= 1 << v
 
-    # one frame per colored vertex: (vertex, its color, colors used
-    # before it, the neighbours it took out of that color's mask)
-    stack: list[tuple[int, int, int, int]] = []
+    # one frame per colored vertex: (vertex, its bit, its color, colors
+    # used before it, the neighbours it took out of that color's mask)
+    stack: list[tuple[int, int, int, int, int]] = []
     used = len(clique)
     while True:
         if time.monotonic() > deadline:
             raise SolverTimeout
         if not free:
             return tuple(colors)
-        if degree_planes is None:
+        if by_degree is None:
             # after the first read: a spent deadline skips this build
-            degree_planes = _degree_planes(g)
+            by_degree = _degree_classes(g)
         cand = free
         for plane in reversed(planes):
             if narrowed := cand & ~plane:
                 cand = narrowed
-        for plane in degree_planes:
-            if narrowed := cand & plane:
+        for klass in by_degree:
+            if narrowed := cand & klass:
                 cand = narrowed
-        v = (cand & -cand).bit_length() - 1
+                break
+        vb = cand & -cand
+        v = vb.bit_length() - 1
         c = 0
-        top = min(k, used + 1)
+        top = used + 1 if used < k else k
         while True:
-            while c < top and not can[c] >> v & 1:
+            while c < top and not can[c] & vb:
                 c += 1
             if c < top:
-                removed = assign(v, c)
+                removed = assign(v, c, free)
                 if removed is not None:
-                    stack.append((v, c, used, removed))
-                    free ^= 1 << v
-                    used = max(used, c + 1)
+                    stack.append((v, vb, c, used, removed))
+                    free ^= vb
+                    if c == used:
+                        used += 1
                     break
                 c += 1
             elif stack:
-                v, c, used, removed = stack.pop()
-                top = min(k, used + 1)
-                free |= 1 << v
+                v, vb, c, used, removed = stack.pop()
+                top = used + 1 if used < k else k
+                free |= vb
                 can[c] |= removed
                 carry = removed & free
-                for j, plane in enumerate(planes):
-                    if not carry:
-                        break
+                j = 0
+                while carry:
+                    plane = planes[j]
                     planes[j] = plane ^ carry
                     carry &= plane
+                    j += 1
                 c += 1
             else:
                 return None

@@ -104,10 +104,10 @@ class Graph:
         return tuple(iter_bits(self._adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not 0 <= u < self.n > v >= 0:
-            self._check_vertex(u)
-            self._check_vertex(v)
-        return bool(self._adj[u] >> v & 1)
+        if 0 <= u < self.n > v >= 0:
+            return self._adj[u] >> v & 1 == 1
+        self._check_vertex(u)
+        raise ValueError(f"vertex {v} out of range for n={self.n}")
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (a, b) with a < b, in lexicographic order."""
