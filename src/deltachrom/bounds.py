@@ -19,8 +19,8 @@ def ceil_div(a: int, b: int) -> int:
 
 def degree_difference_set(g: Graph) -> frozenset[int]:
     """All positive pairwise degree differences occurring in g."""
-    degs = sorted(degree_masks(g))
-    return frozenset(b - a for i, a in enumerate(degs) for b in degs[i + 1 :])
+    degs = list(degree_masks(g))  # highest first
+    return frozenset(a - b for i, a in enumerate(degs) for b in degs[i + 1 :])
 
 
 def class_counts(g: Graph) -> tuple[int, int]:

@@ -17,7 +17,8 @@ order, with a maximum clique pinned to colors 0..|clique|-1 and its
 domains kept as whole-graph masks) then decides each k from the larger
 of the clique size and the class bound upward. Each coloring it finds
 is re-checked to be proper before it becomes the witness. DSATUR and
-the k-search break degree ties on the degree classes, highest first;
+the k-search break degree ties on the degree classes in the order the
+graph keeps them, highest degree first;
 DSATUR renews its color-mask tree up to the first unchanged node, and
 the k-search builds its wipe-out mask only on a removal. The clique
 and k-colorability searches keep their own stack, so no interpreter
@@ -178,11 +179,6 @@ def max_clique_lower(
     return CliqueResult(best_size, verts, complete)
 
 
-def _degree_classes(g: Graph) -> list[int]:
-    """The degree classes of g as vertex masks, highest degree first."""
-    return [mask for _, mask in sorted(degree_masks(g).items(), reverse=True)]
-
-
 def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     """Proper DSATUR coloring; deterministic given the graph.
 
@@ -197,12 +193,12 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     the vertices whose saturation has bit j set, and coloring v with c
     adds one to the uncolored vertices of ``adj[v] & ~seen[c]`` by a
     ripple carry over the planes. The choice narrows the uncolored mask
-    plane by plane from the highest bit down, then to the first degree
-    class g keeps, highest first (``_degree_classes``), that meets it,
-    and takes the lowest set bit. The masks ``seen`` are the leaves of a
-    binary tree whose every inner node is the AND of its two children,
-    that is the vertices that see every color below it; first fit
-    descends it to the lowest color v does not see, going left unless
+    plane by plane from the highest bit down, then to the first class of
+    ``degree_masks(g)``, which keeps them highest degree first, that
+    meets it, and takes the lowest set bit. The masks ``seen`` are the
+    leaves of a binary tree whose every inner node is the AND of its two
+    children, that is the vertices that see every color below it; first
+    fit descends it to the lowest color v does not see, going left unless
     the left child's mask holds v, and the ANDs above ``seen[c]`` are
     renewed up to the first node that keeps its mask. The clock is read
     once per 256 colored vertices, after the 256th first; past the
@@ -212,7 +208,7 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     if n == 0:
         return Coloring((), 0)
     adj = g._adj
-    by_degree = _degree_classes(g)
+    by_degree = degree_masks(g).values()
     # first fit never goes past the maximum degree, so 2 ** (its bit
     # length) leaves hold every color; leaf `leaves + c` is seen[c]
     leaves = 1 << max(degree_masks(g)).bit_length()
@@ -306,11 +302,11 @@ def class_certificates(g: Graph, palette: int, deadline: float = math.inf) -> tu
     A color class of delta(g) meets a degree class D in a clique of
     g[D], inside one component, so the pair-cover bound of a
     triangle-free g[D] bounds chi from below (see ``_class_sweep``).
-    Classes are swept largest first, ties in the order of their lowest
-    vertex, until none left could beat the bound, which is at most |D|,
-    or the bound meets ``palette``. The clock is read once per class,
-    and inside a sweep as ``_class_sweep`` reads it; past the deadline
-    the pass ends with what it has.
+    Classes are swept largest first, ties highest degree first, until
+    none left could beat the bound, which is at most |D|, or the bound
+    meets ``palette``. The clock is read once per class, and inside a
+    sweep as ``_class_sweep`` reads it; past the deadline the pass ends
+    with what it has.
     """
     best = best_mask = 0
     for mask in sorted(degree_masks(g).values(), key=int.bit_count, reverse=True):
@@ -413,9 +409,9 @@ def _k_coloring_search(
     changes. A backtrack puts the same mask back and adds the one back
     by a ripple carry, so each frame keeps one mask and the vertex bit.
     The choice narrows the open mask plane by plane from the highest
-    bit down, then to the first degree class g keeps, highest first
-    (``_degree_classes``, built after the first clock read), that meets
-    it, and takes the lowest set bit.
+    bit down, then to the first class of ``degree_masks(g)``, highest
+    degree first as DSATUR reads them, that meets it, and takes the
+    lowest set bit.
     """
     n = g.n
     adj = g._adj
@@ -423,7 +419,7 @@ def _k_coloring_search(
     can = [free] * k
     planes = [free if k >> j & 1 else 0 for j in range(k.bit_length())]
     above_one = range(1, len(planes))
-    by_degree: list[int] | None = None
+    by_degree = degree_masks(g).values()
     colors = [-1] * n
 
     def assign(v: int, c: int, free: int) -> int | None:
@@ -460,9 +456,6 @@ def _k_coloring_search(
             raise SolverTimeout
         if not free:
             return tuple(colors)
-        if by_degree is None:
-            # after the first read: a spent deadline skips this build
-            by_degree = _degree_classes(g)
         cand = free
         for plane in reversed(planes):
             if narrowed := cand & ~plane:

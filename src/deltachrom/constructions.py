@@ -117,7 +117,7 @@ def degree_diff_product_coloring(g: Graph, c0: Coloring, h: Graph) -> Constructi
             f"degree difference {shared[0]} occurs in both factors; "
             "the coloring rule needs disjoint positive degree differences"
         )
-    classes = [mask for _, mask in sorted(degree_masks(h).items())]  # ascending degree
+    classes = list(reversed(degree_masks(h).values()))  # ascending degree
     p = max(c0.colors_used, len(classes))
     rank = _ranks(c0)
     # vertex of h -> (degree class j, member k), 1-based

@@ -2,9 +2,10 @@
 
 Vertices are dense integer ids ``0..n-1``; adjacency is one Python int
 bitmask per vertex, which keeps complements, delta-complements and
-product assembly cheap at desk scale. All operations return new graphs,
-and the degree classes a graph keeps from its first use are the same
-whichever thread finds them, so instances can be shared across threads.
+product assembly cheap at desk scale. All operations return new graphs.
+A graph keeps its degree classes from their first use, highest degree
+first, and they are the same whichever thread finds them, so instances
+can be shared across threads.
 """
 
 from __future__ import annotations
@@ -133,19 +134,18 @@ class Graph:
 
 
 def degree_masks(g: Graph) -> Mapping[int, int]:
-    """The mask of the vertices of each degree, keyed by the degree in the
-    order of the lowest vertex: found once and kept on g, read-only."""
+    """The mask of the vertices of each degree, keyed by the degree,
+    highest degree first: found once and kept on g, read-only."""
     if g._classes is None:
         g._classes = MappingProxyType(_find_degree_masks(g))
     return g._classes
 
 
 def _find_degree_masks(g: Graph) -> dict[int, int]:
-    same: dict[int, int] = {}
+    by_degree = [0] * g.n
     for v, row in enumerate(g._adj):
-        d = row.bit_count()
-        same[d] = same.get(d, 0) | 1 << v
-    return same
+        by_degree[row.bit_count()] |= 1 << v
+    return {d: by_degree[d] for d in range(g.n - 1, -1, -1) if by_degree[d]}
 
 
 def complement(g: Graph) -> Graph:

@@ -351,16 +351,10 @@ def check_degree_diff(opts: dict) -> Rows:
             by_factors[key] = by_graph[g]
         return by_factors[key]
 
-    # the partners of G are the universe members of at most max_product
-    # // |G| vertices, in universe order
-    partners: dict[int, list] = {}
     for name_g, g, diffs_g, _ in universe:
-        limit = max_product // g.n
-        if limit not in partners:
-            partners[limit] = [entry for entry in universe if entry[1].n <= limit]
-        for name_h, h, diffs_h, counts_h in partners[limit]:
-            if diffs_g & diffs_h:
-                continue  # not an instance of the bound
+        for name_h, h, diffs_h, counts_h in universe:
+            if g.n * h.n > max_product or diffs_g & diffs_h:
+                continue  # too large, or not an instance of the bound
             chi_d_prod, chi_d_g = solve(g, h), solve(g)
             params = {"G": name_g, "H": name_h}
             # A cut-short solve still decides the row from its bracket: the

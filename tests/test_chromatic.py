@@ -55,6 +55,7 @@ from _oracles import (
     reference_k_search,
 )
 from strategies import dense_graphs, graphs, wide_graphs
+from test_solve_golden import SEARCH_TERMS, gnp_graphs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -791,6 +792,11 @@ def assert_same_k_search_as_reference(g):
             assert (got is None) == (k < chi)
 
 
+def assert_dsatur_is_the_first_descent(g: Graph) -> None:
+    k = max(degree_masks(g)) + 1
+    assert dsatur_upper(g).colors == chromatic._k_coloring_search(g, k, (), math.inf)
+
+
 class TestKColoringSearch:
     @given(graphs(max_n=12))
     @settings(max_examples=120, deadline=None)
@@ -822,6 +828,17 @@ class TestKColoringSearch:
         assert reads == steps
         assert (result is not None) == colorable
         assert result == reference_k_search(d, k, clique)
+
+    def test_dsatur_is_the_first_descent_of_the_search_graphs(self):
+        # at k = max degree + 1 no color runs out, so the search never
+        # backtracks, and it picks DSATUR's vertex and color at each step
+        for g in [term_graph(term) for term in SEARCH_TERMS] + gnp_graphs():
+            assert_dsatur_is_the_first_descent(delta_complement(g))
+
+    @given(graphs(min_n=1, max_n=12))
+    @settings(max_examples=120, deadline=None)
+    def test_dsatur_is_the_first_descent(self, g):
+        assert_dsatur_is_the_first_descent(g)
 
     def test_an_improper_coloring_is_refused(self, monkeypatch):
         g = term_graph("X(C5,C7)")
@@ -1018,10 +1035,11 @@ class TestMatchedColoring:
         pytest.param(term_graph("X(C5,S1,6)"), 0, 1, id="palette"),
         # no triangle-free class, so no bound
         pytest.param(term_graph("X(K4,C13)"), 0, 1, id="triangles"),
-        # the bound's class, the four corners, holds 4 of 9 vertices, and
-        # its bound of 4 is below DSATUR's palette of 5. The contracted
-        # graph is coloured, but with 5 colours, no fewer than DSATUR's
-        pytest.param(term_graph("X(P3,P3)"), 1, 2, id="half"),
+        # the corners and the sides tie at 4 of 9 vertices with bound 4,
+        # below DSATUR's palette of 5, and the tie goes to the sides, of
+        # degree 3. The centre is adjacent in delta to all four sides, so
+        # no contracted graph is built
+        pytest.param(term_graph("X(P3,P3)"), 1, 1, id="half"),
         # the bound's class is the C5 1-4-7-3-6 with 2 hung on 3, bound 3;
         # first fit pairs 1-4 and 2-3 and leaves 6 and 7 apart, 4 in all
         pytest.param(Graph(8, [(0, 1), (0, 2), (1, 4), (1, 6), (2, 3), (2, 5), (3, 6), (3, 7),
@@ -1031,8 +1049,8 @@ class TestMatchedColoring:
         *(pytest.param(term_graph(f"W{n}"), 1, 1, id=f"W{n}") for n in range(4, 10)),
     ])
     def test_the_gate_keeps_it_off(self, monkeypatch, g, entered, runs):
-        # the solve's first DSATUR runs, and only `half` colours a contracted
-        # graph too; either way the solve is the class pass's alone
+        # the solve's first DSATUR runs and no contracted graph is coloured,
+        # so the solve is the class pass's alone
         ran, coloured = contractions(monkeypatch), dsaturs(monkeypatch)
         result = chi_delta(g)
         assert result.exact and (len(ran), coloured) == (entered, [g.n] * runs)

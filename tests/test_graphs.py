@@ -3,7 +3,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltachrom import (
@@ -144,6 +144,16 @@ class TestDegreePartition:
                 assert seen == [expected] * 4
         finally:
             sys.setswitchinterval(interval)
+
+    @given(graphs())
+    @example(path_graph(5))
+    @example(star_graph(4))
+    def test_classes_are_kept_highest_degree_first(self, g):
+        masks = degree_masks(g)
+        degrees = list(masks)
+        assert all(a > b for a, b in zip(degrees, degrees[1:]))
+        for d, mask in masks.items():
+            assert mask == sum(1 << v for v in range(g.n) if g.degree(v) == d)
 
     @given(graphs())
     def test_partition_covers_all_vertices(self, g):
