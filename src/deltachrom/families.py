@@ -92,10 +92,8 @@ def generate(spec: FamilySpec) -> Graph:
     if kind == "join":
         a, b = spec.children
         return join(generate(a), generate(b))
-    if kind == "product":
-        product, _ = cartesian_product([generate(c) for c in spec.children])
-        return product
-    raise ValueError(f"unknown family kind {kind!r}")
+    product, _ = cartesian_product([generate(c) for c in spec.children])
+    return product
 
 
 def _vertex_count(spec: FamilySpec) -> int:
@@ -301,6 +299,4 @@ def format_spec(spec: FamilySpec) -> str:
         return f"M({spec.params[0]},{spec.params[1]})"
     if spec.kind == "join":
         return f"J({format_spec(spec.children[0])},{format_spec(spec.children[1])})"
-    if spec.kind == "product":
-        return "X(" + ",".join(format_spec(c) for c in spec.children) + ")"
-    raise ValueError(f"family kind {spec.kind!r} has no text form")
+    return "X(" + ",".join(format_spec(c) for c in spec.children) + ")"

@@ -150,8 +150,7 @@ def _find_degree_masks(g: Graph) -> dict[int, int]:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    masks = [full & ~g._adj[v] & ~(1 << v) for v in range(g.n)]
-    return Graph._from_masks(g.n, masks)
+    return Graph._from_masks(g.n, [full ^ row ^ 1 << v for v, row in enumerate(g._adj)])
 
 
 def delta_complement(g: Graph) -> Graph:
@@ -159,15 +158,11 @@ def delta_complement(g: Graph) -> Graph:
 
     Edge rule: uv is an edge of the result iff either d(u) = d(v) and uv
     is a non-edge of g, or d(u) != d(v) and uv is an edge of g, with
-    degrees measured in g.
+    degrees measured in g. So row v is g's row XOR v's class mask, which
+    flips the class, has no bits outside it, and clears v's own bit.
     """
-    full = (1 << g.n) - 1
     same = degree_masks(g)
-    masks = []
-    for v in range(g.n):
-        s = same[g._adj[v].bit_count()]
-        a = g._adj[v]
-        masks.append((s & ~a & ~(1 << v)) | (~s & a & full))
+    masks = [same[row.bit_count()] ^ row ^ 1 << v for v, row in enumerate(g._adj)]
     return Graph._from_masks(g.n, masks)
 
 

@@ -334,22 +334,19 @@ def check_degree_diff(opts: dict) -> Rows:
     for spec in degree_diff_universe(max_product):
         g = generate(spec)
         universe.append((format_spec(spec), g, degree_difference_set(g), class_counts(g)))
-    # One solve per distinct graph. A product is looked up by its factor
-    # graphs, whatever their names (P2 = K2 = S1,1), and keeps the factor
-    # order of the pair that first met it; the count keeps the pair (K2,
-    # K2) apart from K2 alone. Then by the graph itself: G alone needs no
-    # build, and X(G,P1) is G.
-    by_factors: dict[tuple[frozenset, int], ChromaticResult] = {}
-    by_graph: dict[Graph, ChromaticResult] = {}
+    # One solve per distinct graph, looked up by its factor graphs with
+    # one-vertex factors dropped (P2 = K2 = S1,1, and X(G,P1) is G). The
+    # count keeps the pair (K2, K2) apart from K2 alone, and a product
+    # keeps the factor order of the pair that first met it.
+    solved: dict[tuple[frozenset, int], ChromaticResult] = {}
 
     def solve(*factors: Graph) -> ChromaticResult:
+        factors = tuple(f for f in factors if f.n > 1) or factors[:1]
         key = (frozenset(factors), len(factors))
-        if key not in by_factors:
+        if key not in solved:
             g = cartesian_product(factors)[0] if len(factors) > 1 else factors[0]
-            if g not in by_graph:
-                by_graph[g] = chi_delta(g, timeout=timeout)
-            by_factors[key] = by_graph[g]
-        return by_factors[key]
+            solved[key] = chi_delta(g, timeout=timeout)
+        return solved[key]
 
     for name_g, g, diffs_g, _ in universe:
         for name_h, h, diffs_h, counts_h in universe:

@@ -1028,32 +1028,32 @@ class TestMatchedColoring:
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
         assert (reads, ran, coloured) == (budget + 3, [g.n], [g.n])
 
-    @pytest.mark.parametrize("g,entered,runs", [
+    @pytest.mark.parametrize("g,entered", [
         # a bipartite class whose bound meets DSATUR's palette
-        pytest.param(term_graph("X(C6,P4)"), 0, 1, id="sides"),
+        pytest.param(term_graph("X(C6,P4)"), 0, id="sides"),
         # the bound meets DSATUR's palette
-        pytest.param(term_graph("X(C5,S1,6)"), 0, 1, id="palette"),
+        pytest.param(term_graph("X(C5,S1,6)"), 0, id="palette"),
         # no triangle-free class, so no bound
-        pytest.param(term_graph("X(K4,C13)"), 0, 1, id="triangles"),
+        pytest.param(term_graph("X(K4,C13)"), 0, id="triangles"),
         # the corners and the sides tie at 4 of 9 vertices with bound 4,
         # below DSATUR's palette of 5, and the tie goes to the sides, of
         # degree 3. The centre is adjacent in delta to all four sides, so
         # no contracted graph is built
-        pytest.param(term_graph("X(P3,P3)"), 1, 1, id="half"),
+        pytest.param(term_graph("X(P3,P3)"), 1, id="tie"),
         # the bound's class is the C5 1-4-7-3-6 with 2 hung on 3, bound 3;
         # first fit pairs 1-4 and 2-3 and leaves 6 and 7 apart, 4 in all
         pytest.param(Graph(8, [(0, 1), (0, 2), (1, 4), (1, 6), (2, 3), (2, 5), (3, 6), (3, 7),
-                               (4, 5), (4, 7), (5, 6), (5, 7)]), 1, 1, id="matching"),
+                               (4, 5), (4, 7), (5, 6), (5, 7)]), 1, id="matching"),
         # the rim's class holds all but the hub and its bound is below
         # DSATUR's palette, but the hub is adjacent in delta to the whole rim
-        *(pytest.param(term_graph(f"W{n}"), 1, 1, id=f"W{n}") for n in range(4, 10)),
+        *(pytest.param(term_graph(f"W{n}"), 1, id=f"W{n}") for n in range(4, 10)),
     ])
-    def test_the_gate_keeps_it_off(self, monkeypatch, g, entered, runs):
+    def test_the_gate_keeps_it_off(self, monkeypatch, g, entered):
         # the solve's first DSATUR runs and no contracted graph is coloured,
         # so the solve is the class pass's alone
         ran, coloured = contractions(monkeypatch), dsaturs(monkeypatch)
         result = chi_delta(g)
-        assert result.exact and (len(ran), coloured) == (entered, [g.n] * runs)
+        assert result.exact and (len(ran), coloured) == (entered, [g.n])
         alone = chromatic_number(delta_complement(g), certificates=class_pass_alone(g))
         assert (result.lower, result.upper, result.witness, result.clique, result.method,
                 result.bound_class) == (alone.lower, alone.upper, alone.witness, alone.clique,

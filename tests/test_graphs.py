@@ -178,6 +178,14 @@ class TestComplement:
     def test_involution(self, g):
         assert complement(complement(g)) == g
 
+    @given(graphs())
+    def test_flips_every_pair_but_the_loops(self, g):
+        c = complement(g)
+        assert all(
+            c.has_edge(u, v) == (u != v and not g.has_edge(u, v))
+            for u in range(g.n) for v in range(g.n)
+        )
+
 
 class TestDeltaComplement:
     def test_regular_graph_reduces_to_complement(self):
