@@ -9,24 +9,30 @@ chi >= sum over C of ceil(|C|/2), and when that bound is below the
 palette, DSATUR on delta(G) with a matching of each class contracted
 can meet it, unless the fold leaves a larger clique in D. A bound that
 meets the palette closes the solve with no clique.
-Otherwise a branch-and-bound maximum clique, pruned by the greedy color
-classes of each node's candidates, gives the lower bound; it stops at
-the first clique of the palette's size, which is maximum since omega <=
-chi <= palette. A k-colorability backtracking search (in DSATUR's
-order, with a maximum clique pinned to colors 0..|clique|-1 and its
-domains kept as whole-graph masks) then decides each k from the larger
-of the clique size and the class bound upward. Each coloring it finds
-is re-checked to be proper before it becomes the witness. DSATUR and
-the k-search break degree ties on the degree classes in the order the
-graph keeps them, highest degree first;
-DSATUR renews its color-mask tree up to the first unchanged node, and
-the k-search builds its wipe-out mask only on a removal. The clique
-and k-colorability searches keep their own stack, so no interpreter
-setting depends on the graph size. They read the clock at every node,
-the class pass at every class and every 256 vertices it sweeps, the
-matching every 256 pairs, and the contraction on entry and every 256
-rows it folds or vertices it colors, so the deadline is the one
-stopping rule and a solve overruns it by at most one step's work.
+Otherwise one greedy clique, grown in the graph's degree order, closes
+the solve when it meets the palette; else a branch-and-bound maximum
+clique, pruned by the greedy color classes of each node's candidates,
+gives the lower bound. It stops at the first clique of the palette's
+size, which is maximum since omega <= chi <= palette; when the deadline
+cuts it, the larger of its clique and the greedy one is kept. A
+k-colorability backtracking search (in DSATUR's order, with the clique
+pinned to colors 0..|clique|-1 and its domains kept as whole-graph
+masks) then decides each k from the larger of the clique size and the
+class bound upward. Each coloring it finds is re-checked to be proper
+before it becomes the witness. DSATUR and the k-search break degree
+ties on the degree classes in the order the graph keeps them, highest
+degree first. DSATUR starts first fit at the smallest leftmost subtree
+of its color-mask tree that holds the first unused color, renews the
+tree up to the first unchanged node and stops at the first vertex of
+degree 0 it picks; the k-search builds its wipe-out mask only on a
+removal. The clique and k-colorability searches keep their own stack,
+so no interpreter setting depends on the graph size. They read the
+clock at every node, the greedy clique once before it grows (and grows
+none past the deadline), the class pass at every class and every 256
+vertices it sweeps, the matching every 256 pairs, and the contraction
+on entry and every 256 rows it folds or vertices it colors, so the
+deadline is the one stopping rule and a solve overruns it by at most
+one step's work.
 
 Everything is deterministic: ties break toward the lowest vertex id and
 colors are tried in increasing order, so the same graph always yields
@@ -179,6 +185,25 @@ def max_clique_lower(
     return CliqueResult(best_size, verts, complete)
 
 
+def _greedy_clique(g: Graph) -> tuple[int, ...]:
+    """A maximal clique of g, in increasing id order, grown in g's degree
+    order: each step adds the lowest id of the first class of
+    ``degree_masks(g)``, highest degree first, that meets the common
+    neighbours of the clique so far. The candidates only shrink, so a
+    class that no longer meets them never does again."""
+    adj = g._adj
+    clique = 0
+    cand = (1 << g.n) - 1
+    for klass in degree_masks(g).values():
+        while meet := cand & klass:
+            low = meet & -meet
+            clique |= low
+            cand &= adj[low.bit_length() - 1]
+        if not cand:
+            break
+    return tuple(iter_bits(clique))
+
+
 def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     """Proper DSATUR coloring; deterministic given the graph.
 
@@ -200,7 +225,12 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     children, that is the vertices that see every color below it; first
     fit descends it to the lowest color v does not see, going left unless
     the left child's mask holds v, and the ANDs above ``seen[c]`` are
-    renewed up to the first node that keeps its mask. The clock is read
+    renewed up to the first node that keeps its mask. No vertex sees a
+    color from the palette up, so the descent starts at the leftmost
+    node whose span of leaves exceeds the palette, the root at the
+    latest. When the chosen vertex has no neighbour, the highest degree
+    left is 0: the vertices left are isolated, keep color 0 and are not
+    stepped through, and the palette is at least 1. The clock is read
     once per 256 colored vertices, after the 256th first; past the
     deadline DSATUR raises ``SolverTimeout``.
     """
@@ -208,14 +238,18 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
     if n == 0:
         return Coloring((), 0)
     adj = g._adj
-    by_degree = degree_masks(g).values()
+    classes = degree_masks(g)
+    by_degree = classes.values()
+    max_degree = next(iter(classes))  # highest degree first
     # first fit never goes past the maximum degree, so 2 ** (its bit
     # length) leaves hold every color; leaf `leaves + c` is seen[c]
-    leaves = 1 << max(degree_masks(g)).bit_length()
+    leaves = 1 << max_degree.bit_length()
     tree = [0] * (2 * leaves)
-    sat: list[int] = []
+    # a saturation is at most the maximum degree
+    sat = [0] * max_degree.bit_length()
     colors = [0] * n
     palette = done = 0
+    start = leaves  # the leftmost node of more than `palette` leaves
     uncolored = (1 << n) - 1
     while uncolored:
         cand = uncolored
@@ -228,16 +262,21 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
                 break
         low = cand & -cand
         v = low.bit_length() - 1
+        row = adj[v]
+        if not row:
+            # the highest degree left is 0: the rest keep color 0
+            break
         uncolored ^= low
-        node = 1
+        node = start
         while node < leaves:
             node <<= 1
             if tree[node] & low:
                 node += 1
         c = node - leaves
         colors[v] = c
-        palette = max(palette, c + 1)
-        row = adj[v]
+        if c == palette:
+            palette += 1
+            start = leaves >> palette.bit_length() or 1
         carry = row & uncolored & ~tree[node]
         tree[node] |= row
         while node > 1:
@@ -246,16 +285,16 @@ def dsatur_upper(g: Graph, deadline: float = math.inf) -> Coloring:
             if tree[node] == both:
                 break
             tree[node] = both
-        for j, plane in enumerate(sat):
-            if not carry:
-                break
-            sat[j], carry = plane ^ carry, plane & carry
-        if carry:
-            sat.append(carry)
+        j = 0
+        while carry:
+            plane = sat[j]
+            sat[j] = plane ^ carry
+            carry &= plane
+            j += 1
         done += 1
         if not done & 255 and time.monotonic() > deadline:
             raise SolverTimeout
-    return Coloring(tuple(colors), palette)
+    return Coloring(tuple(colors), palette or 1)
 
 
 def _class_sweep(g: Graph, mask: int, deadline: float = math.inf) -> int:
@@ -563,10 +602,16 @@ def chromatic_number(
     coloring with fewer colors than DSATUR's is re-checked with
     ``is_proper`` and becomes the witness. A bound that meets the best
     palette closes the solve with the clique () and no clique search;
-    otherwise the clique search runs as without the hook. The k-search
-    starts at the larger of the bound and the clique size. A NaN
-    timeout raises ``ValueError``: no clock reading ever passes its
-    deadline.
+    otherwise the clique stage runs as without the hook.
+
+    The clique stage reads the clock once; in time, it grows one greedy
+    clique (``_greedy_clique``) and re-checks it with ``is_clique``. A
+    greedy clique that meets the palette is the lower certificate, and
+    ``max_clique_lower`` does not run; otherwise it runs with the
+    palette as its target, and its clique is kept when the search is
+    complete or its clique is the larger. The k-search starts at the
+    larger of the bound and the clique size. A NaN timeout raises
+    ``ValueError``: no clock reading ever passes its deadline.
     """
     if math.isnan(timeout):
         raise ValueError("timeout must be a number of seconds, got nan")
@@ -581,7 +626,16 @@ def chromatic_number(
         witness, upper = better, better.palette_size
     if bound > upper:
         raise RuntimeError("internal error: lower bound above a proper coloring")
-    clique = max_clique_lower(g, deadline, target=upper).vertices if bound < upper else ()
+    clique = ()
+    if bound < upper:
+        if time.monotonic() <= deadline:
+            clique = _greedy_clique(g)
+            if not is_clique(g, clique):
+                raise RuntimeError("internal error: clique verification failed")
+        if len(clique) < upper:
+            found = max_clique_lower(g, deadline, target=upper)
+            if found.complete or found.size > len(clique):
+                clique = found.vertices
     lower = max(len(clique), bound)
     method = "sandwich" if lower == upper else "branch-and-bound"
     bound_class = bound_class if bound > len(clique) else 0

@@ -349,10 +349,13 @@ def check_degree_diff(opts: dict) -> Rows:
         return solved[key]
 
     for name_g, g, diffs_g, _ in universe:
-        for name_h, h, diffs_h, counts_h in universe:
-            if g.n * h.n > max_product or diffs_g & diffs_h:
-                continue  # too large, or not an instance of the bound
-            chi_d_prod, chi_d_g = solve(g, h), solve(g)
+        # the instances of the bound: small enough, disjoint differences
+        # (P1 is one for every g)
+        partners = [(name_h, h, counts_h) for name_h, h, diffs_h, counts_h in universe
+                    if g.n * h.n <= max_product and not diffs_g & diffs_h]
+        chi_d_g = solve(g)
+        for name_h, h, counts_h in partners:
+            chi_d_prod = solve(g, h)
             params = {"G": name_g, "H": name_h}
             # A cut-short solve still decides the row from its bracket: the
             # bound holds if the product's upper end meets it at chi_delta(G)'s

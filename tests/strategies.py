@@ -43,6 +43,19 @@ def dense_graphs(draw, max_n: int = 100):
 
 
 @st.composite
+def graphs_with_isolated_vertices(draw, max_n: int = 60):
+    """Graphs at a drawn edge density whose drawn vertices have no edge,
+    so a greedy pass meets vertices of degree 0 among the others."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    isolated = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1))
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rest = [v for v in range(n) if v not in isolated]
+    return Graph(n, [(u, v) for i, u in enumerate(rest) for v in rest[i + 1:]
+                     if rng.random() < p])
+
+
+@st.composite
 def atom_specs(draw, nonempty: bool = False):
     kind = draw(st.sampled_from(["path", "cycle", "complete", "empty", "star", "wheel"]))
     lo = {"path": 1, "cycle": 3, "complete": 1, "empty": 0, "star": 1, "wheel": 3}[kind]

@@ -32,6 +32,7 @@ from deltachrom.bounds import class_counts, formula_chi_delta
 from deltachrom.families import (
     complete_graph,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     generate,
     parse_spec,
@@ -54,7 +55,7 @@ from _oracles import (
     reference_is_proper,
     reference_k_search,
 )
-from strategies import dense_graphs, graphs, wide_graphs
+from strategies import dense_graphs, graphs, graphs_with_isolated_vertices, wide_graphs
 from test_solve_golden import SEARCH_TERMS, gnp_graphs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -278,6 +279,113 @@ class TestMaxClique:
         assert clock.reads == 13 and is_clique(g, stopped.vertices)
 
 
+class TestGreedyClique:
+    @given(st.one_of(graphs(max_n=12), dense_graphs(max_n=60)))
+    @settings(max_examples=120, deadline=None)
+    def test_is_a_maximal_clique(self, g):
+        clique = chromatic._greedy_clique(g)
+        assert pairwise_is_clique(g, clique) and (len(clique) > 0) == (g.n > 0)
+        common = (1 << g.n) - 1
+        for v in clique:
+            common &= g.adjacency_mask(v)
+        assert common == 0
+
+    @given(graphs(max_n=12))
+    @settings(max_examples=80, deadline=None)
+    def test_takes_the_lowest_id_of_the_first_class_it_meets(self, g):
+        # each vertex has the highest degree among the common neighbours
+        # of the ones before it, and the lowest id among those
+        cand, grown = set(range(g.n)), []
+        while cand:
+            v = min(cand, key=lambda u: (-g.degree(u), u))
+            grown.append(v)
+            cand &= set(g.neighbors(v))
+        assert chromatic._greedy_clique(g) == tuple(sorted(grown))
+
+    def test_the_solves_are_the_same_without_it(self, monkeypatch):
+        # it only stands in for a clique search that would stop at the
+        # palette too: every bracket, method and witness of the golden
+        # solves is the same when it grows no clique
+        solves = [term_graph(term) for term in SEARCH_TERMS] + gnp_graphs()
+        with_greedy = [chi_delta(g) for g in solves]
+        monkeypatch.setattr(chromatic, "_greedy_clique", lambda g: ())
+        for g, before in zip(solves, with_greedy):
+            after = chi_delta(g)
+            assert (after.lower, after.upper, after.method, after.witness) == (
+                before.lower, before.upper, before.method, before.witness)
+            assert after.clique == before.clique or before.method == "sandwich"
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=80, deadline=None)
+    def test_small_solves_are_the_same_without_it(self, g):
+        d = delta_complement(g)
+        before = chromatic_number(d)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(chromatic, "_greedy_clique", lambda g: ())
+            after = chromatic_number(d)
+        assert (after.lower, after.upper, after.method, after.witness) == (
+            before.lower, before.upper, before.method, before.witness)
+
+    @pytest.mark.parametrize("cut_size", [1, 9, 10])
+    def test_a_cut_clique_search_keeps_the_larger_clique(self, monkeypatch, cut_size):
+        # the greedy clique of delta(C5 x C5) has 9 vertices, omega is 10
+        # and DSATUR's palette 15, so the clique search runs; cut short,
+        # the larger of the two cliques is the lower end, and a tie keeps
+        # the greedy's
+        g = delta_complement(term_graph("X(C5,C5)"))
+        greedy = chromatic._greedy_clique(g)
+        full = max_clique_lower(g)
+        assert (len(greedy), full.size, dsatur_upper(g).palette_size) == (9, 10, 15)
+        cut = CliqueResult(cut_size, full.vertices[:cut_size], False)
+        monkeypatch.setattr(chromatic, "max_clique_lower", lambda g, deadline, target: cut)
+
+        def no_search(*args):
+            raise chromatic.SolverTimeout
+
+        monkeypatch.setattr(chromatic, "_k_coloring_search", no_search)
+        result = chromatic_number(g)
+        kept = greedy if cut_size <= len(greedy) else cut.vertices
+        assert (result.clique, result.lower, result.upper) == (kept, len(kept), 15)
+
+    def test_a_complete_search_keeps_its_clique(self):
+        # on delta(C5 x P3) the greedy clique is maximum too, but below
+        # chi = 6: the complete search's clique is the solve's, and the
+        # k-search pins it as before
+        g = delta_complement(cartesian_product([cycle_graph(5), path_graph(3)])[0])
+        greedy, full = chromatic._greedy_clique(g), max_clique_lower(g)
+        assert len(greedy) == full.size == 4 and greedy != full.vertices
+        result = chromatic_number(g)
+        assert result.clique == full.vertices and result.method == "branch-and-bound"
+
+    def test_an_expired_deadline_grows_none(self, monkeypatch):
+        # one read sets the deadline and the one before the greedy clique
+        # is past it; the clique search and the k-search stop at their
+        # first reads
+        g = delta_complement(cartesian_product([cycle_graph(5), path_graph(3)])[0])
+        grown = []
+        greedy = chromatic._greedy_clique
+        monkeypatch.setattr(chromatic, "_greedy_clique", lambda g: grown.append(g) or greedy(g))
+        result, reads = on_fake_clock(monkeypatch, 1, lambda: chromatic_number(g, timeout=1.0))
+        assert (grown, result.clique, result.exact, reads) == ([], (0,), False, 4)
+
+    def test_a_clique_that_is_none_is_refused(self, monkeypatch):
+        g = delta_complement(cartesian_product([cycle_graph(5), path_graph(3)])[0])
+        apart = next(v for v in range(1, g.n) if not g.has_edge(0, v))
+        monkeypatch.setattr(chromatic, "_greedy_clique", lambda g: (0, apart))
+        with pytest.raises(RuntimeError, match="clique verification failed"):
+            chromatic_number(g)
+
+    def test_meets_the_palette_with_no_clique_search(self, monkeypatch):
+        # delta(S1,29) is K30: the greedy clique is the whole graph
+        def no_clique_search(*args, **kwargs):
+            raise AssertionError("the clique search ran")
+
+        monkeypatch.setattr(chromatic, "max_clique_lower", no_clique_search)
+        result = chi_delta(star_graph(29))
+        assert result.exact and result.chi == 30 and result.method == "sandwich"
+        assert result.clique == tuple(range(30))
+
+
 class TestDsatur:
     def test_edgeless(self):
         assert dsatur_upper(empty_graph(5)).colors_used == 1
@@ -302,6 +410,27 @@ class TestDsatur:
     ], ids=["n0", "N1", "N70", "K1", "K65", "K130"])
     def test_edgeless_and_complete(self, g):
         # K65 and K130 carry the saturation counter over several bits
+        assert dsatur_upper(g) == reference_dsatur(g)
+
+    @given(graphs_with_isolated_vertices())
+    @settings(max_examples=150, deadline=None)
+    def test_same_coloring_with_isolated_vertices(self, g):
+        # DSATUR stops at the first vertex of degree 0 it picks; the ones
+        # left are isolated and keep color 0
+        assert dsatur_upper(g) == reference_dsatur(g)
+
+    @pytest.mark.parametrize("g", [
+        *(complete_graph(m) for m in (1, 2, 4, 8, 16)),
+        *(empty_graph(m) for m in (1, 2, 4, 8, 16)),
+        disjoint_union([complete_graph(4), complete_graph(4)]),
+        disjoint_union([complete_graph(8), empty_graph(3), complete_graph(8)]),
+        disjoint_union([empty_graph(2), complete_graph(16), complete_graph(3)]),
+    ], ids=["K1", "K2", "K4", "K8", "K16", "N1", "N2", "N4", "N8", "N16",
+            "K4+K4", "K8+N3+K8", "N2+K16+K3"])
+    def test_the_palette_reaches_the_leaf_count(self, g):
+        # on K_m with m a power of two the palette reaches the m leaves of
+        # the color tree, so first fit starts at the root; with vertices
+        # left after that it must not start above it
         assert dsatur_upper(g) == reference_dsatur(g)
 
     @pytest.mark.parametrize("term", [
@@ -416,12 +545,14 @@ class TestChromaticNumber:
     def test_tiny_clique_budget_keeps_the_bracket(self, monkeypatch, n, budget):
         # chi(delta(C_n x P3)) = 2*ceil(n/2); a clique search cut short
         # after `budget` clock reads still gives a sound lower bound, and
-        # the k-search closes the gap
+        # the k-search closes the gap. With no greedy clique, the cut
+        # search's one vertex is the solve's clique
         product, _ = cartesian_product([cycle_graph(n), path_graph(3)])
         g = delta_complement(product)
         cut, _ = clique_on_fake_clock(monkeypatch, g, budget)
         assert cut == CliqueResult(1, (0,), False)
         monkeypatch.setattr(chromatic, "max_clique_lower", lambda g, deadline, target: cut)
+        monkeypatch.setattr(chromatic, "_greedy_clique", lambda g: ())
         result = chromatic_number(g)
         assert result.exact and result.chi == 2 * ((n + 1) // 2)
         assert result.clique == (0,) and result.method == "branch-and-bound"
@@ -439,9 +570,11 @@ class TestChromaticNumber:
         assert result.witness.palette_size == result.upper
 
     def test_deadline_holds_at_the_vertex_limit(self):
-        # 10 000 vertices: one node of the clique search colour-sorts up
-        # to 10 000 candidates, so the deadline must be read at every node
-        g = generate(parse_spec("X(K4,P50,P50)"))
+        # 9 918 vertices: one node of the clique search colour-sorts up
+        # to 9 918 candidates, so the deadline must be read at every node.
+        # Neither the greedy clique nor the cut search meets DSATUR's
+        # palette here
+        g = generate(parse_spec("X(K3,P57,P58)"))
         start = time.perf_counter()
         result = chi_delta(g, timeout=1.0)
         assert not result.exact
@@ -603,12 +736,26 @@ class TestClassClique:
         assert result.clique == () and result.bound_class
 
     @given(graphs(max_n=10))
+    # the matched colouring has 3 colours to DSATUR's 4, and the clique
+    # (0, 1, 7) meets it: a sandwich, where plain DSATUR's palette leaves
+    # a gap that the k-search closes
+    @example(Graph(9, [(0, 1), (0, 5), (0, 6), (1, 7), (2, 3), (2, 4), (2, 5), (2, 6), (2, 8),
+                       (3, 5), (4, 7), (4, 8), (5, 6), (7, 8)]))
     @settings(max_examples=80, deadline=None)
     def test_same_solve_as_without_the_class_clique(self, g):
         # the class pass closes a solve on its bound with no clique at all,
-        # or leaves the clique search as it was
+        # or leaves the clique search as it was. The reference solve gets
+        # the hook's matched colouring, but no class bound
         d = delta_complement(g)
-        with_class, without = chi_delta(g), chromatic_number(d)
+
+        def matched_colouring_alone(palette, deadline):
+            bound, mask = class_certificates(g, palette, deadline)
+            coloring = (chromatic._contracted_dsatur(d, first_fit_pairs(g), mask, bound)
+                        if 0 < bound < palette else None)
+            return 0, 0, coloring
+
+        with_class = chi_delta(g)
+        without = chromatic_number(d, certificates=matched_colouring_alone)
         assert (with_class.lower, with_class.upper) == (without.lower, without.upper)
         assert is_clique(d, with_class.clique)
         if with_class.clique:
@@ -713,7 +860,8 @@ class TestClassBound:
 
     def test_a_cut_clique_search_keeps_the_bound(self, monkeypatch):
         # two reads in time: one sets the deadline and one lets the class
-        # pass sweep X(C5,C7)'s one class. The clique search stops at its
+        # pass sweep X(C5,C7)'s one class. The greedy clique's read is past
+        # the deadline, so it grows none; the clique search stops at its
         # first node and the k-search at its first step, so the bound is
         # all the solve has, and it is kept
         g = term_graph("X(C5,C7)")
@@ -722,7 +870,7 @@ class TestClassBound:
             d, timeout=1.0, certificates=class_pass_alone(g)))
         assert (result.lower, result.upper) == (18, palette_of(g))
         assert result.bound_class == (1 << 35) - 1 and result.clique == (0,)
-        assert reads == 4
+        assert reads == 5
 
     def test_a_bound_above_the_palette_is_refused(self):
         d = delta_complement(term_graph("X(C5,C7)"))
@@ -952,22 +1100,24 @@ class TestMatchedColoring:
 
     def test_is_skipped_past_the_deadline(self, monkeypatch):
         # with the third read past the deadline the contraction does not
-        # run, and the clique search and the k-search stop at their first
-        # reads with the bound and DSATUR's colouring
+        # run, no greedy clique grows after its one read, and the clique
+        # search and the k-search stop at their first reads with the bound
+        # and DSATUR's colouring
         g = term_graph("X(C7,C9)")
         ran = contractions(monkeypatch)
         result, reads = on_fake_clock(monkeypatch, 2, lambda: chi_delta(g, timeout=1.0))
         assert (result.lower, result.upper) == (32, palette_of(g))
         assert result.witness == dsatur_upper(delta_complement(g))
-        assert (reads, ran) == (5, [])
+        assert (reads, ran) == (6, [])
 
     def test_a_deadline_inside_the_contraction_keeps_dsaturs_witness(self, monkeypatch):
         # 9999 vertices. One read sets the deadline, the solve's first
         # DSATUR makes 39 with no deadline, the class pass one and its
         # sweep of the one class 31, the hook's one and the matching's 4999
         # pairs 19. The contraction's first read, on entry, is past the
-        # deadline, so the hook gives no colouring, and the clique search
-        # and the k-search stop at their first reads
+        # deadline, so the hook gives no colouring, no greedy clique grows
+        # after its one read, and the clique search and the k-search stop
+        # at their first reads
         g = term_graph("X(C99,C101)")
         dsatur = dsatur_upper(delta_complement(g))
         ran = contractions(monkeypatch)
@@ -975,15 +1125,16 @@ class TestMatchedColoring:
         result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
         assert (result.lower, result.upper) == (5000, dsatur.palette_size)
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
-        assert (reads, ran) == (budget + 3, [g.n])
+        assert (reads, ran) == (budget + 4, [g.n])
 
     def test_a_deadline_inside_the_class_sweep_keeps_dsaturs_witness(self, monkeypatch):
         # 575 vertices. One read sets the deadline, the solve's first
         # DSATUR makes 2 with no deadline, the class pass one and its
         # sweep's first. Its second is past the deadline, so the pass has
-        # no bound and the hook no class to match. The clique search stops
-        # at its first read; k = 1 falls on the pinned vertex's first
-        # neighbour before any read, and k = 2 stops at its first read
+        # no bound and the hook no class to match. No greedy clique grows
+        # after its one read, and the clique search stops at its first
+        # read; k = 1 falls on the pinned vertex's first neighbour before
+        # any read, and k = 2 stops at its first read
         g = term_graph("X(C23,C25)")
         dsatur = dsatur_upper(delta_complement(g))
         ran = contractions(monkeypatch)
@@ -991,15 +1142,16 @@ class TestMatchedColoring:
         result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
         assert (result.lower, result.upper, result.clique) == (2, dsatur.palette_size, (0,))
         assert result.witness == dsatur and result.bound_class == 0
-        assert (reads, ran) == (budget + 3, [])
+        assert (reads, ran) == (budget + 4, [])
 
     def test_a_deadline_inside_the_matching_keeps_dsaturs_witness(self, monkeypatch):
         # 575 vertices. One read sets the deadline, the solve's first
         # DSATUR makes 2 with no deadline, the class pass one and its
         # sweep 2, and the hook's one. The matching's read after its 256th
         # of 287 pairs is past the deadline, so no contraction runs and no
-        # DSATUR on a contracted graph, and the clique search and the
-        # k-search stop at their first reads
+        # DSATUR on a contracted graph, no greedy clique grows after its
+        # one read, and the clique search and the k-search stop at their
+        # first reads
         g = term_graph("X(C23,C25)")
         dsatur = dsatur_upper(delta_complement(g))
         ran, coloured = contractions(monkeypatch), dsaturs(monkeypatch)
@@ -1007,7 +1159,7 @@ class TestMatchedColoring:
         result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
         assert (result.lower, result.upper) == (288, dsatur.palette_size)
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
-        assert (reads, ran, coloured) == (budget + 3, [], [g.n])
+        assert (reads, ran, coloured) == (budget + 4, [], [g.n])
 
     @pytest.mark.parametrize("folded", [0, 1, 2])
     def test_a_deadline_inside_the_fold_keeps_dsaturs_witness(self, monkeypatch, folded):
@@ -1017,8 +1169,9 @@ class TestMatchedColoring:
         # 287 pairs and the contraction's entry one. Of its two fold
         # reads, one per 256 rows, `folded` are in time; the next read, in
         # the fold or, at 2, before the contracted graph is built, is past
-        # the deadline. No DSATUR runs on the contracted graph, and the
-        # clique search and the k-search stop at their first reads
+        # the deadline. No DSATUR runs on the contracted graph, no greedy
+        # clique grows after its one read, and the clique search and the
+        # k-search stop at their first reads
         g = term_graph("X(C23,C25)")
         dsatur = dsatur_upper(delta_complement(g))
         ran, coloured = contractions(monkeypatch), dsaturs(monkeypatch)
@@ -1026,7 +1179,7 @@ class TestMatchedColoring:
         result, reads = on_fake_clock(monkeypatch, budget, lambda: chi_delta(g, timeout=1.0))
         assert (result.lower, result.upper) == (288, dsatur.palette_size)
         assert result.witness == dsatur and result.bound_class == (1 << g.n) - 1
-        assert (reads, ran, coloured) == (budget + 3, [g.n], [g.n])
+        assert (reads, ran, coloured) == (budget + 4, [g.n], [g.n])
 
     @pytest.mark.parametrize("g,entered", [
         # a bipartite class whose bound meets DSATUR's palette

@@ -181,6 +181,14 @@ class TestChiDelta:
         assert code == 3
         assert "inexact" in out
 
+    def test_the_vertex_limit_closes_on_a_greedy_clique(self, capsys):
+        # 10 000 vertices: DSATUR's 2304 colours meet the greedy clique,
+        # so no clique search runs and the solve is exact inside a second
+        code, out = run(capsys, "chi-delta", "X(K4,P50,P50)", "--timeout", "1", "--fmt", "json")
+        solver = json.loads(out)["solver"]
+        assert code == 0 and solver["exact"] and solver["chi"] == 2304
+        assert solver["method"] == "sandwich"
+
     def test_cut_short_bracket_starts_at_one(self, capsys, monkeypatch):
         # any one vertex is a clique, even when the clique search stopped
         # at its root node
