@@ -29,8 +29,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
@@ -57,10 +59,14 @@ EXIT_BROKEN_PIPE = 141
 
 def _timeout(args: argparse.Namespace) -> float:
     # the environment is read when the command runs: the parser is built once
-    if args.timeout is not None:
-        return args.timeout
-    raw = os.environ.get("DELTACHROM_TIMEOUT")
-    return float(raw) if raw else DEFAULT_TIMEOUT
+    timeout = args.timeout
+    if timeout is None:
+        raw = os.environ.get("DELTACHROM_TIMEOUT")
+        timeout = float(raw) if raw else DEFAULT_TIMEOUT
+    if math.isnan(timeout):
+        # no deadline comparison with NaN is ever true, so it would never stop
+        raise ValueError("timeout must be a number of seconds, got nan")
+    return timeout
 
 
 def _load_graph(term: str):
@@ -152,12 +158,12 @@ def cmd_structure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solved(term: str, args: argparse.Namespace):
+def _solved(term: str, timeout: float):
     """The graph of a term and an optimal coloring of its delta-complement,
     or None in place of the coloring, with the bracket on stderr, when the
     solve is cut short."""
     graph, _ = _load_graph(term)
-    result = chi_delta(graph, timeout=_timeout(args))
+    result = chi_delta(graph, timeout=timeout)
     if not result.exact:
         print(f"error: chi-delta of {term} inexact, bracket "
               f"[{result.lower}, {result.upper}]", file=sys.stderr)
@@ -165,33 +171,34 @@ def _solved(term: str, args: argparse.Namespace):
     return graph, result.witness
 
 
-def _join_p3(args: argparse.Namespace, term: str):
-    h, ch = _solved(term, args)
+def _join_p3(timeout: float, term: str):
+    h, ch = _solved(term, timeout)
     return None if ch is None else join_p3_coloring(h, ch)
 
 
-def _degree_diff(args: argparse.Namespace, term_g: str, term_h: str):
-    g, c0 = _solved(term_g, args)
+def _degree_diff(timeout: float, term_g: str, term_h: str):
+    g, c0 = _solved(term_g, timeout)
     return None if c0 is None else degree_diff_product_coloring(g, c0, _load_graph(term_h)[0])
 
 
-# construction -> (parameter count, its result from the arguments and the
-# parameters, or None when a solve it needs was cut short)
+# construction -> (parameter count, its result from the solver timeout and
+# the parameters, or None when a solve it needs was cut short)
 CONSTRUCTIONS = {
-    "star-star": (2, lambda args, m, n: star_star_coloring(int(m), int(n))),
-    "star-path": (2, lambda args, m, n: star_path_coloring(int(m), int(n))),
-    "path-path": (2, lambda args, n, k: path_path_coloring(int(n), int(k))),
+    "star-star": (2, lambda timeout, m, n: star_star_coloring(int(m), int(n))),
+    "star-path": (2, lambda timeout, m, n: star_path_coloring(int(m), int(n))),
+    "path-path": (2, lambda timeout, n, k: path_path_coloring(int(n), int(k))),
     "join-p3": (1, _join_p3),
     "degree-diff": (2, _degree_diff),
 }
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    timeout = _timeout(args)
     count, build = CONSTRUCTIONS[args.construction]
     if len(args.params) != count:
         raise ValueError(f"construct {args.construction} takes {count} "
                          f"parameter{'s' if count > 1 else ''}, got {len(args.params)}")
-    result = build(args, *args.params)
+    result = build(timeout, *args.params)
     if result is None:
         return EXIT_INEXACT
     off = 1 if args.one_based else 0
@@ -216,37 +223,27 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts: dict = {"seed": args.seed, "timeout": _timeout(args)}
-    if args.n:
-        opts["n"] = _parse_range(args.n)
-    if args.k:
-        opts["k"] = _parse_range(args.k)
-    if args.m:
-        opts["m"] = _parse_range(args.m)
-    if args.trials is not None:
-        opts["trials"] = args.trials
-    if args.max is not None:
-        opts["max"] = args.max
+    given = vars(args)
+    opts = {"seed": args.seed, "timeout": _timeout(args)}
+    opts |= {name: _parse_range(given[name]) for name in ("n", "k", "m") if given[name]}
+    opts |= {name: given[name] for name in ("trials", "max") if given[name] is not None}
+    if opts.get("trials", 1) < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rows = run_check(args.check, opts)
-    if not rows:
-        # a range that selects no instance verifies nothing
-        raise ValueError(f"verify {args.check} yields no row for these options")
+    tally = Counter(r.status for r in rows)
     if args.fmt == "csv":
         print("check_id,params,expected,computed,status,seconds")
         for r in rows:
             params = json.dumps(r.params, separators=(",", ":")).replace('"', "'")
             print(f'{r.check_id},"{params}","{r.expected}","{r.computed}",{r.status},{r.seconds:.3f}')
     else:
-        width = max((len(r.check_id) for r in rows), default=8)
+        width = max(len(r.check_id) for r in rows)
         for r in rows:
             params = json.dumps(r.params, separators=(",", ":"))
             print(f"{r.status.upper():4} {r.check_id:<{width}} {params} "
                   f"expected={r.expected} computed={r.computed}")
-        passed = sum(r.status == "pass" for r in rows)
-        failed = sum(r.status == "fail" for r in rows)
-        skipped = sum(r.status == "skip" for r in rows)
-        print(f"-- {passed} passed, {failed} failed, {skipped} skipped")
-    if any(r.status == "fail" for r in rows):
+        print(f"-- {tally['pass']} passed, {tally['fail']} failed, {tally['skip']} skipped")
+    if tally["fail"]:
         return EXIT_CHECK_FAILED
     return EXIT_INEXACT if any(r.inexact for r in rows) else EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
@@ -133,7 +134,7 @@ def _solver_row(params, spec, not_covered, opts, show=attrgetter("chi"),
     """The table's value for spec against the solver; a skip where the
     table declines spec, with the true solver value still shown."""
     fv = formula_chi_delta(spec)
-    res = chi_delta(generate(spec), timeout=opts.get("timeout", DEFAULT_TIMEOUT))
+    res = chi_delta(generate(spec), timeout=opts["timeout"])
     expected = not_covered if fv is None else expect(fv)
     return (_cut_short(params, expected, res)
             or _report(params, expected, show(res),
@@ -145,22 +146,10 @@ def _formula_rows(spec_of, n_range, not_covered, opts) -> Rows:
         yield _solver_row({"n": n}, spec_of(n), not_covered, opts)
 
 
-def check_path_formula(opts: dict) -> Rows:
-    return _formula_rows(path_spec, (5, 14), "formula n/a (n < 5)", opts)
-
-
-def check_cycle_formula(opts: dict) -> Rows:
-    return _formula_rows(cycle_spec, (3, 14), "formula n/a (regular one-class graph)", opts)
-
-
-def check_wheel_formula(opts: dict) -> Rows:
-    return _formula_rows(wheel_spec, (3, 10), "formula n/a (W3 is complete)", opts)
-
-
 def check_cycle_p3(opts: dict) -> Rows:
     # the class bound closes these solves with no clique, so omega comes
     # from a clique search of its own, within the same budget (>= if cut)
-    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
+    timeout = opts["timeout"]
 
     def show(res: ChromaticResult) -> str:
         omega = max_clique_lower(d, time.monotonic() + timeout)
@@ -200,7 +189,7 @@ def _edge_union_identity(factors: Sequence[Graph]) -> tuple[bool, str]:
 
 def check_structure(opts: dict) -> Rows:
     trials = opts.get("trials", 50)
-    seed = opts.get("seed", DEFAULT_SEED)
+    seed = opts["seed"]
     for i, pair in enumerate(seeded_graph_tuples(trials, 2, 2, 6, seed)):
         ok, detail = _edge_union_identity(pair)
         yield _report({"trial": i, "sizes": [g.n for g in pair]},
@@ -213,7 +202,7 @@ def check_structure(opts: dict) -> Rows:
 
 def check_equality(opts: dict) -> Rows:
     trials = opts.get("trials", 50)
-    seed = opts.get("seed", DEFAULT_SEED)
+    seed = opts["seed"]
     for i, pair in enumerate(seeded_graph_tuples(trials, 2, 2, 6, seed)):
         s_empty = delta_of_product(pair).extra.edge_count() == 0
         holds = equality_holds(pair)
@@ -268,8 +257,8 @@ def check_lemma_ceiling(opts: dict) -> Rows:
 
 def check_ng(opts: dict) -> Rows:
     trials = opts.get("trials", 100)
-    seed = opts.get("seed", DEFAULT_SEED)
-    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
+    seed = opts["seed"]
+    timeout = opts["timeout"]
     for i, g in enumerate(seeded_graphs(trials, 4, 9, seed, connected=True)):
         params = {"trial": i, "n": g.n}
         chi = chromatic_number(g, timeout=timeout)
@@ -285,8 +274,8 @@ def check_ng(opts: dict) -> Rows:
 
 def check_sabidussi(opts: dict) -> Rows:
     trials = opts.get("trials", 30)
-    seed = opts.get("seed", DEFAULT_SEED)
-    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
+    seed = opts["seed"]
+    timeout = opts["timeout"]
     for i, (g, h) in enumerate(seeded_graph_tuples(trials, 2, 2, 6, seed)):
         params = {"trial": i, "sizes": [g.n, h.n]}
         product, _ = cartesian_product([g, h])
@@ -303,8 +292,8 @@ def check_sabidussi(opts: dict) -> Rows:
 
 def check_oracle(opts: dict) -> Rows:
     trials = opts.get("trials", 100)
-    seed = opts.get("seed", DEFAULT_SEED)
-    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
+    seed = opts["seed"]
+    timeout = opts["timeout"]
     for i, g in enumerate(seeded_graphs(trials, 1, 9, seed)):
         engine = chromatic_number(g, timeout=timeout)
         brute = oracle_chromatic(g)
@@ -328,7 +317,7 @@ def degree_diff_universe(max_product: int = 30) -> list[FamilySpec]:
 
 def check_degree_diff(opts: dict) -> Rows:
     max_product = opts.get("max", 30)
-    timeout = opts.get("timeout", DEFAULT_TIMEOUT)
+    timeout = opts["timeout"]
     # each factor's name, graph, degree-difference set and class counts
     universe = []
     for spec in degree_diff_universe(max_product):
@@ -373,9 +362,10 @@ def check_degree_diff(opts: dict) -> Rows:
 
 
 _CHECKS: dict[str, Callable[[dict], Rows]] = {
-    "path-formula": check_path_formula,
-    "cycle-formula": check_cycle_formula,
-    "wheel-formula": check_wheel_formula,
+    "path-formula": partial(_formula_rows, path_spec, (5, 14), "formula n/a (n < 5)"),
+    "cycle-formula": partial(_formula_rows, cycle_spec, (3, 14),
+                             "formula n/a (regular one-class graph)"),
+    "wheel-formula": partial(_formula_rows, wheel_spec, (3, 10), "formula n/a (W3 is complete)"),
     "structure": check_structure,
     "equality": check_equality,
     "cycle-p3": check_cycle_p3,
@@ -397,19 +387,26 @@ def check_ids() -> list[str]:
 def run_check(check_id: str, opts: dict | None = None) -> list[TheoremReport]:
     """Run one named check (or 'all') and return its report rows.
 
-    This is the one place that stamps a row with its check id and its
-    seconds: the time since the check's previous row, or since the check
-    started for its first row.
+    This is the one home of the rules every check shares. ``seed`` and
+    ``timeout`` default to ``DEFAULT_SEED`` and ``DEFAULT_TIMEOUT``, and
+    opts overrides them; the other options keep each check's own
+    defaults. Each check must yield a row, under 'all' too: options that
+    select no instance verify nothing, so they raise ``ValueError``.
+    Each row is stamped with its check id and its seconds: the time since
+    the check's previous row, or since the check started for its first row.
     """
-    opts = dict(opts or {})
+    opts = {"seed": DEFAULT_SEED, "timeout": DEFAULT_TIMEOUT, **(opts or {})}
     if check_id != "all" and check_id not in _CHECKS:
         raise ValueError(f"unknown check {check_id!r}; known: {', '.join(_CHECKS)}")
     rows: list[TheoremReport] = []
     for cid in _CHECKS if check_id == "all" else [check_id]:
+        start = len(rows)
         t0 = time.perf_counter()
         for row in _CHECKS[cid](opts):
             t1 = time.perf_counter()
             row.check_id, row.seconds = cid, t1 - t0
             rows.append(row)
             t0 = t1
+        if len(rows) == start:
+            raise ValueError(f"verify {cid} yields no row for these options")
     return rows

@@ -376,6 +376,12 @@ class TestVerify:
         (("path-path", "--k", "3..5"), "verify path-path yields no row"),
         (("cycle-p3", "--n", "9..3"), "empty range 9..3"),
         (("all", "--m", "5..4"), "empty range 5..4"),
+        # the rule holds for each check under all, not for the run as a whole
+        (("all", "--k", "3..5"), "verify path-path yields no row"),
+        (("all", "--max", "5"), "verify lemma-ceiling yields no row"),
+        (("structure", "--trials", "-3"), "--trials must be at least 1, got -3"),
+        (("equality", "--trials", "0"), "--trials must be at least 1, got 0"),
+        (("structure", "--trials", "0"), "--trials must be at least 1, got 0"),
     ])
     def test_range_that_selects_nothing_is_usage_error(self, capsys, argv, message):
         code = main(["verify", *argv])
@@ -425,6 +431,21 @@ class TestUsage:
         monkeypatch.setenv("DELTACHROM_TIMEOUT", "nan")
         assert main(["chi-delta", "X(C7,C9)"]) == 2
         assert capsys.readouterr().err.startswith("error: timeout must be a number")
+
+    @pytest.mark.parametrize("argv,env", [
+        (("verify", "structure", "--trials", "2", "--timeout", "nan"), None),
+        (("verify", "lemma-ceiling", "--max", "9", "--timeout", "nan"), None),
+        (("construct", "star-star", "3", "3", "--timeout", "nan"), None),
+        (("verify", "equality", "--trials", "1"), "nan"),
+    ])
+    def test_nan_timeout_is_refused_where_no_solve_runs(self, capsys, monkeypatch, argv, env):
+        # these commands run no solve, so the library's own NaN check never sees it
+        if env:
+            monkeypatch.setenv("DELTACHROM_TIMEOUT", env)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: timeout must be a number of seconds, got nan\n"
 
     @pytest.mark.parametrize("term", [
         "X(" * 1000 + "P1" + ",P1)" * 1000,

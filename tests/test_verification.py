@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from deltachrom.chromatic import DEFAULT_TIMEOUT
 from deltachrom.verification import (
     DEFAULT_SEED,
     check_ids,
@@ -77,6 +78,17 @@ class TestRegistry:
         for r in rows:
             lower, upper = map(int, r.computed[len("inexact ["):-1].split(","))
             assert lower <= int(r.expected) <= upper
+
+    def test_each_check_under_all_must_yield_a_row(self):
+        # ng is the first check that trials=0 leaves with no instance
+        with pytest.raises(ValueError, match="^verify ng yields no row for these options$"):
+            run_check("all", {"trials": 0})
+
+    def test_seed_and_timeout_default_to_the_shared_values(self):
+        masked = lambda rows: [replace(r, seconds=0.0) for r in rows]
+        given = run_check("structure", {"trials": 3, "seed": DEFAULT_SEED,
+                                        "timeout": DEFAULT_TIMEOUT})
+        assert masked(run_check("structure", {"trials": 3})) == masked(given)
 
     def test_default_timeout_rows_are_exact(self):
         assert not [r for r in run_check("cycle-p3") if r.inexact]
