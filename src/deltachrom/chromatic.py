@@ -24,10 +24,12 @@ ties on the degree classes in the order the graph keeps them, highest
 degree first. DSATUR starts first fit at the smallest leftmost subtree
 of its color-mask tree that holds the first unused color, renews the
 tree up to the first unchanged node and stops at the first vertex of
-degree 0 it picks; the k-search builds its wipe-out mask only on a
-removal. The clique and k-colorability searches keep their own stack,
-so no interpreter setting depends on the graph size. They read the
-clock at every node, the greedy clique once before it grows (and grows
+degree 0 it picks; before each branch the k-search gives every vertex
+with one color left that color, and it builds its wipe-out mask only on
+a removal. The clique and k-colorability searches keep their own stack,
+so no interpreter setting depends on the graph size. The clique search
+reads the clock at every node, the k-search once per branch and every
+256 forced moves, the greedy clique once before it grows (and grows
 none past the deadline), the class pass at every class and every 256
 vertices it sweeps, the matching every 256 pairs, and the contraction
 on entry and every 256 rows it folds or vertices it colors, so the
@@ -434,8 +436,17 @@ def _k_coloring_search(
     vertex's colors in increasing order. Only the first unused color may
     open a new color class, which prunes nothing but palette
     permutations. The clique, of at most k vertices, is pinned to colors
-    0..|clique|-1. The clock is read once per step; past the deadline
-    the search raises ``SolverTimeout``.
+    0..|clique|-1. Before each branch the forced moves are drained:
+    every open vertex with one color left takes it, lowest id first,
+    wave by wave, until none is left or a move wipes a domain out. The
+    rule picks such vertices before any other, and neither their colors
+    nor the state they leave depend on the order; a forced color is
+    never above the first unused one, since the colors from there up
+    are open to every vertex. So the branches, refutations and colorings
+    are those of the search that steps through the forced moves one by
+    one. The clock is read once per round, a drain and the branch after
+    it, and once per 256 moves inside a drain; past the deadline the
+    search raises ``SolverTimeout``.
 
     The domains are kept as whole-graph masks, with no loop over
     vertices: ``can[c]`` holds the vertices that may still take color c,
@@ -445,14 +456,17 @@ def _k_coloring_search(
     counts of the open ones by a ripple borrow; an open neighbour with
     one color left, in no plane above the lowest, is a wipe-out, tested
     only when the move takes an open neighbour out and before anything
-    changes. A backtrack puts the same mask back and adds the one back
-    by a ripple carry, so each frame keeps one mask and the vertex bit.
-    The choice narrows the open mask plane by plane from the highest
-    bit down, then to the first class of ``degree_masks(g)``, highest
-    degree first as DSATUR reads them, that meets it, and takes the
-    lowest set bit.
+    changes. A branch's frame keeps the open mask, the colors used and
+    the planes from before it, and the mask each move since took out,
+    its own and its drain's; a conflict in that drain or a backtrack
+    puts the masks back and restores the rest. The choice narrows the
+    open mask plane by plane from the highest bit down, then to the
+    first class of ``degree_masks(g)``, highest degree first as DSATUR
+    reads them, that meets it, and takes the lowest set bit.
     """
     n = g.n
+    if n and not k:
+        return None  # with no plane, every open vertex would look forced
     adj = g._adj
     free = (1 << n) - 1
     can = [free] * k
@@ -463,7 +477,7 @@ def _k_coloring_search(
 
     def assign(v: int, c: int, free: int) -> int | None:
         # take v's neighbours out of can[c]; None on a wipe-out, so every
-        # borrow, as every backtrack's carry, ends inside the planes
+        # borrow ends inside the planes
         removed = adj[v] & can[c]
         if borrow := removed & free:
             several = 0
@@ -486,51 +500,81 @@ def _k_coloring_search(
             return None
         free ^= 1 << v
 
-    # one frame per colored vertex: (vertex, its bit, its color, colors
-    # used before it, the neighbours it took out of that color's mask)
-    stack: list[tuple[int, int, int, int, int]] = []
+    # one frame per branch: (vertex, its bit, its color, and the state
+    # before it: colors used, open mask, planes, then the moves since,
+    # the branch's and its drain's, as (color, neighbours taken out))
+    stack: list[tuple[int, int, int, int, int, list[int], list[tuple[int, int]]]] = []
+    moves: list[tuple[int, int]] = []  # the root's are never undone
     used = len(clique)
     while True:
         if time.monotonic() > deadline:
             raise SolverTimeout
-        if not free:
-            return tuple(colors)
-        cand = free
-        for plane in reversed(planes):
-            if narrowed := cand & ~plane:
-                cand = narrowed
-        for klass in by_degree:
-            if narrowed := cand & klass:
-                cand = narrowed
+        # an open vertex has a color left, so one in no plane above the
+        # lowest has exactly one
+        drained = 0
+        conflict = False
+        while not conflict:
+            several = 0
+            for j in above_one:
+                several |= planes[j]
+            wave = free & ~several
+            if not wave:
                 break
-        vb = cand & -cand
-        v = vb.bit_length() - 1
-        c = 0
-        top = used + 1 if used < k else k
+            while wave:
+                vb = wave & -wave
+                wave ^= vb
+                v = vb.bit_length() - 1
+                c = 0
+                while not can[c] & vb:
+                    c += 1
+                removed = assign(v, c, free)
+                if removed is None:
+                    conflict = True
+                    break
+                moves.append((c, removed))
+                free ^= vb
+                if c == used:
+                    used += 1
+                drained += 1
+                if not drained & 255 and time.monotonic() > deadline:
+                    raise SolverTimeout
+        if conflict:
+            c = top = 0  # back to the last branch's next color
+        else:
+            if not free:
+                return tuple(colors)
+            cand = free
+            for plane in reversed(planes):
+                if narrowed := cand & ~plane:
+                    cand = narrowed
+            for klass in by_degree:
+                if narrowed := cand & klass:
+                    cand = narrowed
+                    break
+            vb = cand & -cand
+            v = vb.bit_length() - 1
+            c = 0
+            top = used + 1 if used < k else k
+            before = planes[:]
         while True:
             while c < top and not can[c] & vb:
                 c += 1
             if c < top:
                 removed = assign(v, c, free)
                 if removed is not None:
-                    stack.append((v, vb, c, used, removed))
+                    moves = [(c, removed)]
+                    stack.append((v, vb, c, used, free, before, moves))
                     free ^= vb
                     if c == used:
                         used += 1
                     break
                 c += 1
             elif stack:
-                v, vb, c, used, removed = stack.pop()
+                v, vb, c, used, free, before, moves = stack.pop()
+                for color, removed in moves:
+                    can[color] |= removed
+                planes[:] = before
                 top = used + 1 if used < k else k
-                free |= vb
-                can[c] |= removed
-                carry = removed & free
-                j = 0
-                while carry:
-                    plane = planes[j]
-                    planes[j] = plane ^ carry
-                    carry &= plane
-                    j += 1
                 c += 1
             else:
                 return None
@@ -610,7 +654,9 @@ def chromatic_number(
     ``max_clique_lower`` does not run; otherwise it runs with the
     palette as its target, and its clique is kept when the search is
     complete or its clique is the larger. The k-search starts at the
-    larger of the bound and the clique size. A NaN timeout raises
+    larger of the bound and the clique size; it reads the clock once per
+    branch, after giving every vertex with one color left that color,
+    and once per 256 such forced moves. A NaN timeout raises
     ``ValueError``: no clock reading ever passes its deadline.
     """
     if math.isnan(timeout):

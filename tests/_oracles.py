@@ -11,7 +11,7 @@ import json
 import math
 import time
 from itertools import combinations, permutations, product as iproduct
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from deltachrom import Coloring, Graph, dsatur_upper
 from deltachrom.chromatic import SolverTimeout
@@ -287,14 +287,21 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def reference_k_search(g: Graph, k: int, clique, deadline: float = math.inf):
+class KSearch(NamedTuple):
+    colors: tuple[int, ...] | None
+    branches: int
+
+
+def reference_k_search(g: Graph, k: int, clique, deadline: float = math.inf) -> KSearch:
     """The k-colouring search with per-vertex colour domains: forward
     checking over one bitmask of colours per vertex, branching on the
     open vertex DSATUR's rule picks (the fewest colours left, then the
     highest degree, then the lowest id), colours tried in increasing
     order, only the first unused colour may open a new class, and the
     clique pinned to colours 0..|clique|-1. Returns the colour tuple, or
-    None when no k-colouring exists."""
+    None when no k-colouring exists, and the number of branches: the
+    moves that succeeded on a vertex chosen with two or more colours
+    left."""
     n = g.n
     adj = [g.adjacency_mask(v) for v in range(n)]
     avail = [(1 << k) - 1] * n
@@ -318,18 +325,19 @@ def reference_k_search(g: Graph, k: int, clique, deadline: float = math.inf):
 
     for i, v in enumerate(clique):
         if assign(v, i) is None:
-            return None
+            return KSearch(None, 0)
         free ^= 1 << v
 
     # one frame per colored vertex: (vertex, colors left to try, used
     # before it, neighbours whose domain it narrowed)
     stack: list[tuple[int, int, int, list[int]]] = []
     used = len(clique)
+    branches = 0
     while True:
         if time.monotonic() > deadline:
             raise SolverTimeout
         if not free:
-            return tuple(colors)
+            return KSearch(tuple(colors), branches)
         v = min(_iter_bits(free), key=lambda u: (avail[u].bit_count(), -adj[u].bit_count(), u))
         cand = avail[v] & ((1 << min(k, used + 1)) - 1)
         while True:
@@ -339,6 +347,9 @@ def reference_k_search(g: Graph, k: int, clique, deadline: float = math.inf):
                 c = low.bit_length() - 1
                 touched = assign(v, c)
                 if touched is not None:
+                    # v's domain is as it was when v was chosen: only the
+                    # moves after v's, now undone, narrowed other domains
+                    branches += avail[v].bit_count() >= 2
                     stack.append((v, cand, used, touched))
                     free ^= 1 << v
                     used = max(used, c + 1)
@@ -351,7 +362,7 @@ def reference_k_search(g: Graph, k: int, clique, deadline: float = math.inf):
                 colors[v] = -1
                 free |= 1 << v
             else:
-                return None
+                return KSearch(None, branches)
 
 
 def cyclic_block_grid(

@@ -928,12 +928,16 @@ def k_search_on_fake_clock(monkeypatch, g, k, clique, budget=float("inf")):
 
 def assert_same_k_search_as_reference(g):
     # every k from the clique size up to DSATUR's palette, with the
-    # clique pinned as chromatic_number pins it
+    # clique pinned as chromatic_number pins it. The search reads the
+    # clock once per branch and once before the first (these drains are
+    # all shorter than 256 moves), so equal counts mean the same tree
     clique = max_clique_lower(g).vertices
     chi = oracle_chromatic(g) if g.n <= chromatic.ORACLE_VERTEX_LIMIT else None
     for k in range(len(clique), dsatur_upper(g).palette_size + 1):
-        got = chromatic._k_coloring_search(g, k, clique, math.inf)
-        assert got == reference_k_search(g, k, clique)
+        got, reads = k_search_on_fake_clock(pytest.MonkeyPatch(), g, k, clique)
+        expected = reference_k_search(g, k, clique)
+        assert got == expected.colors
+        assert reads == expected.branches + 1
         if got is not None:
             assert is_proper(g, Coloring(got, k))
         if chi is not None:
@@ -956,30 +960,54 @@ class TestKColoringSearch:
     def test_same_answer_on_dense_graphs(self, g):
         assert_same_k_search_as_reference(g)
 
-    @pytest.mark.parametrize("budget", [0, 1, 17, 4917])
+    @pytest.mark.parametrize("budget", [0, 1, 17, 2782])
     def test_stops_at_the_first_read_past_the_budget(self, monkeypatch, budget):
-        # the full search on delta(X(C5,C7)) at k = 18 takes 4918 steps
+        # the full search on delta(X(C5,C7)) at k = 18 reads the clock
+        # 2783 times: once before its first branch and once per branch
         d = delta_complement(term_graph("X(C5,C7)"))
         clique = max_clique_lower(d).vertices
         assert k_search_on_fake_clock(monkeypatch, d, 18, clique, budget) == (
             "timeout", budget + 1)
 
-    @pytest.mark.parametrize("term,k,steps,colorable", [
-        ("X(C5,C7)", 18, 4918, True), ("W9", 5, 4, False),
-    ])
-    def test_reads_the_clock_once_per_step(self, monkeypatch, term, k, steps, colorable):
-        # the step counts of the per-vertex search this one replaced: the
-        # same count means the same search tree
+    @pytest.mark.parametrize("term,k,colorable", [("X(C5,C7)", 18, True), ("W9", 5, False)])
+    def test_reads_the_clock_once_per_branch(self, monkeypatch, term, k, colorable):
+        # the branches of the per-vertex search, which steps through the
+        # forced moves one by one: the same count means the same tree. W9
+        # at k = 5 is refuted by the drain before its first branch
         d = delta_complement(term_graph(term))
         clique = max_clique_lower(d).vertices
         result, reads = k_search_on_fake_clock(monkeypatch, d, k, clique)
-        assert reads == steps
+        expected = reference_k_search(d, k, clique)
+        assert reads == expected.branches + 1
         assert (result is not None) == colorable
-        assert result == reference_k_search(d, k, clique)
+        assert result == expected.colors
+
+    def test_a_long_drain_reads_the_clock_every_256_moves(self, monkeypatch):
+        # with 0 and 1 pinned, each vertex of the path is forced by the
+        # one before it: one drain of 598 moves, read before it and after
+        # its 256th and 512th move; a budget of 1 stops it at the 256th
+        p600 = path_graph(600)
+        result, reads = k_search_on_fake_clock(monkeypatch, p600, 2, (0, 1))
+        assert result == tuple(v % 2 for v in range(600))
+        assert reads == 3
+        assert k_search_on_fake_clock(monkeypatch, p600, 2, (0, 1), 1) == ("timeout", 2)
+
+    def test_a_drain_that_ends_in_a_conflict_refutes_k(self, monkeypatch):
+        # the odd cycle forces both ways round from the pinned edge until
+        # the two waves meet on one color
+        assert k_search_on_fake_clock(monkeypatch, cycle_graph(601), 2, (0, 1)) == (None, 3)
+
+    @pytest.mark.parametrize("g,expected", [
+        (Graph(0), ()), (empty_graph(1), None), (path_graph(5), None),
+    ], ids=["n0", "n1", "n5"])
+    def test_no_colors(self, g, expected):
+        assert chromatic._k_coloring_search(g, 0, (), math.inf) == expected
 
     def test_dsatur_is_the_first_descent_of_the_search_graphs(self):
         # at k = max degree + 1 no color runs out, so the search never
-        # backtracks, and it picks DSATUR's vertex and color at each step
+        # backtracks. It takes the forced vertices in id order where
+        # DSATUR takes them by degree, then id, but a forced vertex's
+        # color is the one it has left, so the coloring is still DSATUR's
         for g in [term_graph(term) for term in SEARCH_TERMS] + gnp_graphs():
             assert_dsatur_is_the_first_descent(delta_complement(g))
 

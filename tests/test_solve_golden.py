@@ -39,9 +39,11 @@ SEARCH_TERMS = [
 
 GOLDEN = "96cf565240cc833df3fcda026d83f06795e4376d2af8c914c4a213bf70657331"
 
-# k-search steps over the 22 terms and the 108 G(n,p) graphs; the
-# lowest-id branching rule took 69 998
-K_SEARCH_STEPS = 44_675
+# k-search clock reads over the 22 terms and the 108 G(n,p) graphs: one
+# per round (a drain of forced moves and a branch) and one per 256 moves
+# inside a drain; stepping through the forced moves one by one, the same
+# trees took 44 675 reads, and the lowest-id branching rule 69 998
+K_SEARCH_STEPS = 15_963
 
 # clique-search nodes over the same solves; 2 850 before the greedy
 # clique closed five of them
